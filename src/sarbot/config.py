@@ -1,205 +1,176 @@
-"""Declarative run configuration: defaults, YAML loading, strict validation,
-and builders for the runtime objects."""
+"""Declarative run configuration: YAML loading, strict validation, and the
+bridge to the runtime objects.
+
+The defaults live in one place: the runtime dataclasses, ``exper.TrialConfig``
+and the parts it holds. ``_LEAVES`` maps each YAML leaf to the
+``TrialConfig`` attribute it sets and to the check its value must pass.
+``DEFAULTS`` is read off ``TrialConfig()`` through that table, the YAML
+merge and validation walk it, and ``to_trial_config`` writes a resolved
+config back through it. Only ``batch.*`` and ``output.*``, which the CLI
+alone reads, keep literal defaults here (``_CLI_LEAVES``).
+"""
 
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
-import math
+import operator
+from functools import reduce
+from typing import NamedTuple
 
+import numpy as np
 import yaml
 
-from . import exper, loop, netcore, simenv
+from . import exper, netcore, simenv
 from .errors import ConfigError
 
-E = math.e
 
-DEFAULTS = {
-    "network": {
-        "hidden": [13, 12, 11, 10, 9, 8, 7, 6, 5, 4],
-        "outputs": 3,
-        "activation": "tanh",
-        # per-weight-layer init width: small against raw GSV-scale predictors,
-        # near-unity through the hidden stack, small again at the output so
-        # the untrained predictive action stays close to zero
-        "w0": [0.004] + [0.55] * 9 + [0.05],
-        "output_weighting": [1.0, 3.0, 5.0],
-    },
-    "rule": {
-        "kind": "sar",  # gdm | localprop | sar | none
-        "eta": E**-5,
-    },
-    "loop": {
-        "k": [1.0, 2.0, 3.0],
-        "reflex_gain": 0.04,
-        "loop_gain": "auto",  # signed number, or "auto" to probe the sign
-        "loop_gain_magnitude": 5.0e-6,
-        "mc_limit": 5.0,
-    },
-    "sensors": {
-        # innermost pair clears the 2 cm line by 2 cm, leaving a dead band
-        # the learned action can settle into; the wide field of view makes
-        # the error ramp in gently at the band's edge
-        "ldr_lateral": [4.5, 5.5, 6.5],
-        "ldr_forward": 3.0,
-        "ldr_fov_radius": 1.0,
-        "camera": {
-            "width": 15.0,
-            "depth": 10.0,
-            "ahead": 5.0,
-            "supersample": 3,
-        },
-    },
-    "filters": {
-        "taps": None,  # null -> built-in delayed averaging bank
-    },
-    "track": {
-        "kind": "rounded_rect",
-        "width": 2.0,
-        "scale": 0.25,
-        "margin": 25.0,
-        "path_value": 0.0,
-        "bg_value": 255.0,
-        "params": {
-            "rect_width": 110.0,
-            "rect_height": 80.0,
-            "radii": [12.0, 12.0, 18.0, 18.0],
-        },
-    },
-    "sim": {
-        "dt": 0.05,
-        "v0": 5.0,
-        "wheel_base": 10.0,
-        "integrator": "arc",
-    },
-    "trial": {
-        "max_duration": 2400.0,
-        "threshold": 0.1,
-        "window": 25.0,
-        "warmup": 12.0,
-        "grace": 75.0,
-        "seed": 1,
-        "distance_interval": 1.0,
-        "lost_line_timeout": 5.0,
-    },
-    "batch": {
-        "seeds": 10,
-        "rules": ["gdm", "localprop", "sar"],
-        "etas": [E**-5],
-        "jobs": 1,
-    },
-    "output": {
-        "dir": "runs",
-        "trace": True,
-        "predictor_trace": False,
-    },
-}
-
-
-def _is_num(v) -> bool:
+def _num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _num_list(v) -> bool:
-    return isinstance(v, list) and all(_is_num(x) for x in v)
+def _nums(v) -> bool:
+    return isinstance(v, list) and all(_num(x) for x in v)
 
 
-# leaf validators: path -> (predicate, description)
-_CHECKS = {
-    "network.hidden": (
+def _one_of(*choices):
+    return (lambda v: v in choices, "one of " + ", ".join(choices))
+
+
+# checks shared by several leaves: (predicate, description)
+NUMBER = (_num, "number")
+POSITIVE = (lambda v: _num(v) and v > 0, "positive number")
+NON_NEGATIVE = (lambda v: _num(v) and v >= 0, "non-negative number")
+GRAY = (lambda v: _num(v) and 0 <= v < 256, "number in [0, 256)")
+POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "positive integer")
+
+
+class _Leaf(NamedTuple):
+    attr: str  # dotted attribute of exper.TrialConfig
+    check: tuple  # (predicate, description)
+    none: str | None = None  # how YAML spells the attribute's None
+
+
+_LEAVES = {
+    "network.hidden": _Leaf("net.hidden", (
         lambda v: isinstance(v, list) and v and all(isinstance(x, int) and x >= 1 for x in v),
-        "list of positive integers",
-    ),
-    "network.outputs": (lambda v: isinstance(v, int) and v >= 1, "positive integer"),
-    "network.activation": (
-        lambda v: v in ("tanh", "linear"),
-        "one of tanh, linear",
-    ),
-    "network.w0": (
-        lambda v: (_is_num(v) and v > 0) or (_num_list(v) and all(x > 0 for x in v)),
-        "positive number or list of positive numbers",
-    ),
-    "network.output_weighting": (_num_list, "list of numbers"),
-    "rule.kind": (
-        lambda v: v in (*netcore.RULES, "none"),
-        "one of gdm, localprop, sar, none",
-    ),
-    "rule.eta": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "loop.k": (
-        lambda v: _num_list(v) and len(v) == 3,
-        "list of 3 numbers",
-    ),
-    "loop.reflex_gain": (_is_num, "number"),
-    "loop.loop_gain": (
-        lambda v: v == "auto" or (_is_num(v) and v != 0),
-        "'auto' or a signed nonzero number",
-    ),
-    "loop.loop_gain_magnitude": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "loop.mc_limit": (
-        lambda v: v is None or (_is_num(v) and v > 0),
-        "positive number or null",
-    ),
-    "sensors.ldr_lateral": (
-        lambda v: _num_list(v) and len(v) == 3 and 0 < v[0] < v[1] < v[2],
-        "3 ascending positive offsets",
-    ),
-    "sensors.ldr_forward": (_is_num, "number"),
-    "sensors.ldr_fov_radius": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "sensors.camera.width": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "sensors.camera.depth": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "sensors.camera.ahead": (lambda v: _is_num(v) and v >= 0, "non-negative number"),
-    "sensors.camera.supersample": (
-        lambda v: isinstance(v, int) and 1 <= v <= 8,
-        "integer in 1..8",
-    ),
-    "filters.taps": (
-        lambda v: v is None or (isinstance(v, list) and len(v) == 5 and all(_num_list(t) for t in v)),
-        "null or 5 lists of numbers",
-    ),
-    "track.kind": (
-        lambda v: v in simenv.TRACK_KINDS,
-        f"one of {', '.join(simenv.TRACK_KINDS)}",
-    ),
-    "track.width": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "track.scale": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "track.margin": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "track.path_value": (lambda v: _is_num(v) and 0 <= v < 256, "number in [0, 256)"),
-    "track.bg_value": (lambda v: _is_num(v) and 0 <= v < 256, "number in [0, 256)"),
-    "track.params": (lambda v: isinstance(v, dict), "mapping"),
-    "sim.dt": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "sim.v0": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "sim.wheel_base": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "sim.integrator": (lambda v: v in ("arc", "euler"), "one of arc, euler"),
-    "trial.max_duration": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "trial.threshold": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "trial.window": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "trial.warmup": (lambda v: _is_num(v) and v >= 0, "non-negative number"),
-    "trial.grace": (lambda v: _is_num(v) and v >= 0, "non-negative number"),
-    "trial.seed": (lambda v: isinstance(v, int), "integer"),
-    "trial.distance_interval": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "trial.lost_line_timeout": (lambda v: _is_num(v) and v > 0, "positive number"),
-    "batch.seeds": (
-        lambda v: (isinstance(v, int) and v >= 1)
-        or (isinstance(v, list) and v and all(isinstance(x, int) for x in v)),
-        "count or list of integer seeds",
-    ),
-    "batch.rules": (
-        lambda v: isinstance(v, list) and v and all(x in netcore.RULES for x in v),
-        "non-empty list drawn from gdm, localprop, sar",
-    ),
-    "batch.etas": (
-        lambda v: _num_list(v) and v and all(x > 0 for x in v),
-        "non-empty list of positive numbers",
-    ),
-    "batch.jobs": (lambda v: isinstance(v, int) and v >= 1, "positive integer"),
-    "output.dir": (lambda v: isinstance(v, str) and v, "non-empty string"),
-    "output.trace": (lambda v: isinstance(v, bool), "boolean"),
-    "output.predictor_trace": (lambda v: isinstance(v, bool), "boolean"),
+        "list of positive integers")),
+    "network.outputs": _Leaf("net.outputs", POSITIVE_INT),
+    "network.activation": _Leaf("net.activation", _one_of("tanh", "linear")),
+    "network.w0": _Leaf("net.w0", (
+        lambda v: (_num(v) and v > 0) or (_nums(v) and all(x > 0 for x in v)),
+        "positive number or list of positive numbers")),
+    "network.output_weighting": _Leaf("net.output_weighting", (_nums, "list of numbers")),
+    "rule.kind": _Leaf("rule.kind", _one_of(*netcore.RULES, "none"), "none"),
+    "rule.eta": _Leaf("rule.eta", POSITIVE),
+    "loop.k": _Leaf("reflex.k", (lambda v: _nums(v) and len(v) == 3, "list of 3 numbers")),
+    "loop.reflex_gain": _Leaf("reflex.reflex_gain", NUMBER),
+    "loop.loop_gain": _Leaf("reflex.loop_gain", (
+        lambda v: v == "auto" or (_num(v) and v != 0),
+        "'auto' or a signed nonzero number"), "auto"),
+    "loop.loop_gain_magnitude": _Leaf("loop_gain_magnitude", POSITIVE),
+    "loop.mc_limit": _Leaf("reflex.mc_limit", (
+        lambda v: v is None or (_num(v) and v > 0), "positive number or null")),
+    "sensors.ldr_lateral": _Leaf("layout.ldr_lateral", (
+        lambda v: _nums(v) and len(v) == 3 and 0 < v[0] < v[1] < v[2],
+        "3 ascending positive offsets")),
+    "sensors.ldr_forward": _Leaf("layout.ldr_forward", NUMBER),
+    "sensors.ldr_fov_radius": _Leaf("layout.ldr_fov_radius", POSITIVE),
+    "sensors.camera.width": _Leaf("layout.cam_width", POSITIVE),
+    "sensors.camera.depth": _Leaf("layout.cam_depth", POSITIVE),
+    "sensors.camera.ahead": _Leaf("layout.cam_ahead", NON_NEGATIVE),
+    "sensors.camera.supersample": _Leaf("layout.cam_supersample", (
+        lambda v: isinstance(v, int) and 1 <= v <= 8, "integer in 1..8")),
+    "filters.taps": _Leaf("filter_taps", (  # null: the built-in averaging bank
+        lambda v: v is None or (isinstance(v, list) and len(v) == 5 and all(map(_nums, v))),
+        "null or 5 lists of numbers")),
+    "track.kind": _Leaf("track.kind", _one_of(*simenv.TRACK_KINDS)),
+    "track.width": _Leaf("track.width", POSITIVE),
+    "track.scale": _Leaf("track.scale", POSITIVE),
+    "track.margin": _Leaf("track.margin", POSITIVE),
+    "track.path_value": _Leaf("track.path_value", GRAY),
+    "track.bg_value": _Leaf("track.bg_value", GRAY),
+    "track.params": _Leaf("track.params", (lambda v: isinstance(v, dict), "mapping")),
+    "sim.dt": _Leaf("sim.dt", POSITIVE),
+    "sim.v0": _Leaf("sim.v0", POSITIVE),
+    "sim.wheel_base": _Leaf("sim.wheel_base", POSITIVE),
+    "sim.integrator": _Leaf("sim.integrator", _one_of("arc", "euler")),
+    "trial.max_duration": _Leaf("run.max_duration", POSITIVE),
+    "trial.threshold": _Leaf("run.threshold", POSITIVE),
+    "trial.window": _Leaf("run.window", POSITIVE),
+    "trial.warmup": _Leaf("run.warmup", NON_NEGATIVE),
+    "trial.grace": _Leaf("run.grace", NON_NEGATIVE),
+    "trial.seed": _Leaf("seed", (lambda v: isinstance(v, int), "integer")),
+    "trial.distance_interval": _Leaf("run.distance_interval", POSITIVE),
+    "trial.lost_line_timeout": _Leaf("run.lost_line_timeout", POSITIVE),
 }
 
-# subtrees whose keys are free-form (validated downstream)
-_OPEN_SUBTREES = ("track.params",)
+_REFERENCE = exper.TrialConfig()
+
+# leaves only the CLI reads: path -> (default, check)
+_CLI_LEAVES = {
+    "batch.seeds": (10, (
+        lambda v: (isinstance(v, int) and v >= 1)
+        or (isinstance(v, list) and v and all(isinstance(x, int) for x in v)),
+        "count or list of integer seeds")),
+    "batch.rules": (list(netcore.RULES), (
+        lambda v: isinstance(v, list) and v and all(x in netcore.RULES for x in v),
+        "non-empty list drawn from gdm, localprop, sar")),
+    "batch.etas": ([_REFERENCE.rule.eta], (
+        lambda v: _nums(v) and v and all(x > 0 for x in v),
+        "non-empty list of positive numbers")),
+    "batch.jobs": (1, POSITIVE_INT),
+    "output.dir": ("runs", (lambda v: isinstance(v, str) and v, "non-empty string")),
+    "output.trace": (True, (lambda v: isinstance(v, bool), "boolean")),
+}
+
+
+def _get(obj, attr: str):
+    return reduce(getattr, attr.split("."), obj)
+
+
+def _lookup(tree: dict, leaf: str):
+    return reduce(operator.getitem, leaf.split("."), tree)
+
+
+def _put(tree: dict, leaf: str, value) -> None:
+    *sections, key = leaf.split(".")
+    for section in sections:
+        tree = tree.setdefault(section, {})
+    tree[key] = value
+
+
+def _plain(v):
+    """A runtime value as YAML holds it: sequences become lists."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (tuple, list)):
+        return [_plain(x) for x in v]
+    return copy.deepcopy(v)
+
+
+def _runtime(v, like):
+    """A YAML value as the runtime attribute whose default is ``like`` holds
+    it: lists become tuples and numbers floats where the default is one."""
+    if isinstance(v, list) and isinstance(like, (tuple, np.ndarray)):
+        return tuple(v)
+    if _num(v) and not isinstance(like, int):
+        return float(v)
+    return copy.deepcopy(v)
+
+
+def _defaults() -> dict:
+    tree: dict = {}
+    for leaf, (attr, _, none) in _LEAVES.items():
+        value = _get(_REFERENCE, attr)
+        _put(tree, leaf, none if value is None else _plain(value))
+    for leaf, (default, _) in _CLI_LEAVES.items():
+        _put(tree, leaf, copy.deepcopy(default))
+    return tree
+
+
+DEFAULTS = _defaults()
 
 
 def _merge(base: dict, override: dict, path: str = "") -> None:
@@ -207,7 +178,7 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and here not in _OPEN_SUBTREES:
+        if isinstance(base[key], dict) and here not in _LEAVES:
             if not isinstance(val, dict):
                 raise ConfigError(f"{here}: expected a mapping")
             _merge(base[key], val, here)
@@ -215,23 +186,13 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
             base[key] = val
 
 
-def _validate(tree: dict, path: str = "") -> None:
-    for key, val in tree.items():
-        here = f"{path}.{key}" if path else key
-        if here in _OPEN_SUBTREES:
-            continue
-        if isinstance(val, dict):
-            _validate(val, here)
-            continue
-        check = _CHECKS.get(here)
-        if check is None:
-            raise ConfigError(f"unknown config key: {here}")
-        pred, desc = check
-        if isinstance(val, int) and not isinstance(val, bool):
-            # ints are acceptable wherever floats are
-            pass
+def _validate(cfg: dict) -> None:
+    checks = [(leaf, spec.check) for leaf, spec in _LEAVES.items()]
+    checks += [(leaf, check) for leaf, (_, check) in _CLI_LEAVES.items()]
+    for leaf, (pred, desc) in checks:
+        val = _lookup(cfg, leaf)
         if not pred(val):
-            raise ConfigError(f"{here}: expected {desc}, got {val!r}")
+            raise ConfigError(f"{leaf}: expected {desc}, got {val!r}")
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -270,75 +231,20 @@ def dump_config(cfg: dict, path) -> None:
         yaml.safe_dump(cfg, fh, sort_keys=True, default_flow_style=False)
 
 
-def rule_from_config(cfg: dict) -> netcore.UpdateRule | None:
-    kind = cfg["rule"]["kind"]
-    if kind == "none":
-        return None
-    return netcore.UpdateRule(kind, float(cfg["rule"]["eta"]))
-
-
 def to_trial_config(cfg: dict) -> exper.TrialConfig:
     """Build the runtime trial configuration from a resolved config dict."""
-    net = exper.NetParams(
-        hidden=tuple(cfg["network"]["hidden"]),
-        outputs=cfg["network"]["outputs"],
-        activation=cfg["network"]["activation"],
-        w0=cfg["network"]["w0"],
-        output_weighting=tuple(cfg["network"]["output_weighting"]),
-    )
-    track = exper.TrackSpec(
-        kind=cfg["track"]["kind"],
-        params=copy.deepcopy(cfg["track"]["params"]),
-        width=float(cfg["track"]["width"]),
-        scale=float(cfg["track"]["scale"]),
-        margin=float(cfg["track"]["margin"]),
-        path_value=float(cfg["track"]["path_value"]),
-        bg_value=float(cfg["track"]["bg_value"]),
-    )
-    cam = cfg["sensors"]["camera"]
-    layout = simenv.SensorLayout(
-        ldr_lateral=tuple(cfg["sensors"]["ldr_lateral"]),
-        ldr_forward=float(cfg["sensors"]["ldr_forward"]),
-        ldr_fov_radius=float(cfg["sensors"]["ldr_fov_radius"]),
-        cam_width=float(cam["width"]),
-        cam_depth=float(cam["depth"]),
-        cam_ahead=float(cam["ahead"]),
-        cam_supersample=int(cam["supersample"]),
-    )
-    gain = cfg["loop"]["loop_gain"]
-    reflex = loop.ReflexConfig(
-        k=tuple(cfg["loop"]["k"]),
-        reflex_gain=float(cfg["loop"]["reflex_gain"]),
-        loop_gain=None if gain == "auto" else float(gain),
-        mc_limit=cfg["loop"]["mc_limit"],
-    )
-    sim = exper.SimParams(
-        dt=float(cfg["sim"]["dt"]),
-        v0=float(cfg["sim"]["v0"]),
-        wheel_base=float(cfg["sim"]["wheel_base"]),
-        integrator=cfg["sim"]["integrator"],
-    )
-    run = exper.RunParams(
-        max_duration=float(cfg["trial"]["max_duration"]),
-        threshold=float(cfg["trial"]["threshold"]),
-        window=float(cfg["trial"]["window"]),
-        warmup=float(cfg["trial"]["warmup"]),
-        grace=float(cfg["trial"]["grace"]),
-        distance_interval=float(cfg["trial"]["distance_interval"]),
-        lost_line_timeout=float(cfg["trial"]["lost_line_timeout"]),
-    )
-    return exper.TrialConfig(
-        net=net,
-        rule=rule_from_config(cfg),
-        track=track,
-        layout=layout,
-        reflex=reflex,
-        loop_gain_magnitude=float(cfg["loop"]["loop_gain_magnitude"]),
-        sim=sim,
-        run=run,
-        filter_taps=cfg["filters"]["taps"],
-        seed=int(cfg["trial"]["seed"]),
-    )
+    fields: dict = {}
+    parts: dict = {}
+    for leaf, (attr, _, none) in _LEAVES.items():
+        value = _lookup(cfg, leaf)
+        value = None if value == none else _runtime(value, _get(_REFERENCE, attr))
+        part, _, name = attr.rpartition(".")
+        (parts.setdefault(part, {}) if part else fields)[name] = value
+    rule = parts.pop("rule")
+    fields["rule"] = None if rule["kind"] is None else netcore.UpdateRule(**rule)
+    for part, kwargs in parts.items():
+        fields[part] = type(getattr(_REFERENCE, part))(**kwargs)
+    return exper.TrialConfig(**fields)
 
 
 def batch_seeds(cfg: dict) -> list[int]:

@@ -18,7 +18,14 @@ from .errors import CalibrationError, ConfigError, OutOfBoundsError
 @dataclass
 class TrackSpec:
     kind: str = "rounded_rect"
-    params: dict = field(default_factory=dict)
+    # the reference track: a 110 x 80 cm rectangle with rounded corners
+    params: dict = field(
+        default_factory=lambda: {
+            "rect_width": 110.0,
+            "rect_height": 80.0,
+            "radii": [12.0, 12.0, 18.0, 18.0],
+        }
+    )
     width: float = 2.0
     scale: float = 0.25
     margin: float = 25.0
@@ -54,7 +61,10 @@ class NetParams:
     hidden: tuple = (13, 12, 11, 10, 9, 8, 7, 6, 5, 4)
     outputs: int = 3
     activation: str = "tanh"
-    w0: object = 0.1  # netcore default; the reference config ships a per-layer profile  # scalar or per-weight-layer list
+    # init width, a scalar or one per weight layer: small against raw
+    # GSV-scale predictors, near-unity through the hidden stack, small again
+    # at the output so the untrained predictive action stays close to zero
+    w0: object = (0.004,) + (0.55,) * 9 + (0.05,)
     output_weighting: tuple = (1.0, 3.0, 5.0)
 
     def layer_specs(self) -> list[netcore.LayerSpec]:
@@ -92,7 +102,8 @@ class RunParams:
 @dataclass
 class TrialConfig:
     net: NetParams = field(default_factory=NetParams)
-    rule: netcore.UpdateRule | None = None  # None disables learning
+    # None disables learning
+    rule: netcore.UpdateRule | None = netcore.UpdateRule(netcore.SAR, math.e**-5)
     track: TrackSpec = field(default_factory=TrackSpec)
     layout: simenv.SensorLayout = field(default_factory=simenv.SensorLayout)
     reflex: looplib.ReflexConfig = field(default_factory=looplib.ReflexConfig)
@@ -490,11 +501,11 @@ def _batch_row(record: TrialRecord, max_duration: float) -> dict:
 
 
 def _run_batch_trial(args) -> dict:
-    cfg, rule_kind, eta, seed, lam, out_dir = args
+    cfg, rule_kind, eta, seed, lam, canvas, out_dir = args
     trial_cfg = replace(
         cfg, rule=netcore.UpdateRule(rule_kind, eta), seed=seed
     )
-    record = run_trial(trial_cfg, loop_gain=lam)
+    record = run_trial(trial_cfg, canvas=canvas, loop_gain=lam)
     row = _batch_row(record, cfg.run.max_duration)
     if out_dir is not None:
         sub = out_dir / f"{rule_kind}-eta{eta:.6g}-seed{seed}"
@@ -522,14 +533,13 @@ def run_batch(
     for kind in rules:
         if kind not in netcore.RULES:
             raise ConfigError(f"unknown rule {kind!r} in batch")
-    lam = cfg.reflex.loop_gain
-    if lam is None:
-        lam = calibrate(cfg).loop_gain
+    lam, _ = _resolve_loop_gain(cfg)
+    canvas = cfg.track.build()  # every trial runs on the same world
     trial_dir = None
     if out_dir is not None:
         trial_dir = out_dir / "trials"
     tasks = [
-        (cfg, kind, float(eta), int(seed), float(lam), trial_dir)
+        (cfg, kind, float(eta), int(seed), lam, canvas, trial_dir)
         for kind in rules
         for eta in etas
         for seed in seeds
@@ -566,7 +576,7 @@ def run_batch(
                     "final_dist_l1_median": q(dists, 50),
                 }
             )
-    return BatchResult(rows=rows, summary=summary, loop_gain=float(lam))
+    return BatchResult(rows=rows, summary=summary, loop_gain=lam)
 
 
 # ----------------------------------------------------------------------

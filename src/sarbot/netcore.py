@@ -34,19 +34,14 @@ LOCALPROP = "localprop"
 SAR = "sar"
 RULES = (GDM, LOCALPROP, SAR)
 
-# activation -> (function, derivative); activations must be odd so that a
-# symmetric scene yields exactly zero output from a bias-free network, and
-# strictly increasing so that sign_prop may ignore their slopes
+# activation -> (function, slope); the slope is computed from the stored
+# (sum-output, activation) pair so the backward passes avoid recomputing the
+# activation. Activations must be odd so that a symmetric scene yields
+# exactly zero output from a bias-free network, and strictly increasing so
+# that sign_prop may ignore their slopes
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda v: 1.0 - np.tanh(v) ** 2),
-    "linear": (lambda v: np.asarray(v, dtype=float), np.ones_like),
-}
-
-# same derivatives, but computed from the stored (sum-output, activation)
-# pair so the backward passes avoid recomputing the activation
-_SLOPE_FROM_OUTPUT = {
-    "tanh": lambda v, a: 1.0 - a * a,
-    "linear": lambda v, a: np.ones_like(v),
+    "tanh": (np.tanh, lambda v, a: 1.0 - a * a),
+    "linear": (lambda v: np.asarray(v, dtype=float), lambda v, a: np.ones_like(v)),
 }
 
 
@@ -130,16 +125,12 @@ class Network:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
     def _act(self, l):
         return _ACTIVATIONS[self.activations[l]][0]
 
     def _slope(self, l) -> np.ndarray:
         """Activation derivative at layer l, from the stored forward state."""
-        return _SLOPE_FROM_OUTPUT[self.activations[l]](self.v[l], self.a[l])
+        return _ACTIVATIONS[self.activations[l]][1](self.v[l], self.a[l])
 
     # ------------------------------------------------------------------
     # forward and error passes

@@ -89,6 +89,9 @@ class SensorLayout:
     into 8 rows (row 0 nearest) by 12 columns (column 0 leftmost).
     """
 
+    # the innermost pair clears the 2 cm line by 2 cm, leaving a dead band the
+    # learned action can settle into; the wide field of view makes the error
+    # ramp in gently at the band's edge
     ldr_lateral: tuple = (4.5, 5.5, 6.5)
     ldr_forward: float = 3.0
     ldr_fov_radius: float = 1.0

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 import yaml
 
 from sarbot import cli
 from sarbot import config as configlib
 from sarbot.errors import ConfigError
+from sarbot.exper import TrialConfig
 
 
 def test_defaults_validate_and_build():
@@ -38,6 +42,98 @@ def test_bad_values_rejected(tmp_path):
     p.write_text("trial:\n  seed: 1.5\n")
     with pytest.raises(ConfigError, match="trial.seed"):
         configlib.load_config(p)
+
+
+def assert_same(a, b, where="cfg"):
+    """Field-by-field equality that also requires equal types, so a list
+    never passes for a tuple."""
+    assert type(a) is type(b), f"{where}: {type(a).__name__} vs {type(b).__name__}"
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), where
+    else:
+        assert a == b, where
+
+
+def test_default_config_is_the_dataclass_default():
+    assert_same(configlib.to_trial_config(configlib.load_config()), TrialConfig())
+
+
+# one value per config leaf that validation must reject
+BAD_VALUES = {
+    "network.hidden": [13, 0],
+    "network.outputs": 0,
+    "network.activation": "relu",
+    "network.w0": [0.1, -0.1],
+    "network.output_weighting": "heavy",
+    "rule.kind": "adam",
+    "rule.eta": 0,
+    "loop.k": [1.0, 2.0],
+    "loop.reflex_gain": "strong",
+    "loop.loop_gain": 0,
+    "loop.loop_gain_magnitude": -5e-6,
+    "loop.mc_limit": 0,
+    "sensors.ldr_lateral": [5.5, 4.5, 6.5],
+    "sensors.ldr_forward": None,
+    "sensors.ldr_fov_radius": 0,
+    "sensors.camera.width": 0,
+    "sensors.camera.depth": -10.0,
+    "sensors.camera.ahead": -0.5,
+    "sensors.camera.supersample": 9,
+    "filters.taps": [[1.0]],
+    "track.kind": "hexagon",
+    "track.width": 0,
+    "track.scale": -0.25,
+    "track.margin": 0,
+    "track.path_value": 256,
+    "track.bg_value": -1,
+    "track.params": [1, 2],
+    "sim.dt": 0,
+    "sim.v0": -5.0,
+    "sim.wheel_base": 0,
+    "sim.integrator": "rk4",
+    "trial.max_duration": 0,
+    "trial.threshold": 0,
+    "trial.window": -25.0,
+    "trial.warmup": -1,
+    "trial.grace": -1,
+    "trial.seed": 1.5,
+    "trial.distance_interval": 0,
+    "trial.lost_line_timeout": 0,
+    "batch.seeds": 0,
+    "batch.rules": ["adam"],
+    "batch.etas": [],
+    "batch.jobs": 0,
+    "output.dir": "",
+    "output.trace": "yes",
+}
+
+
+def config_leaves(tree, path=""):
+    for key, val in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(val, dict) and here != "track.params":
+            yield from config_leaves(val, here)
+        else:
+            yield here
+
+
+def test_every_config_leaf_has_a_bad_value():
+    assert sorted(config_leaves(configlib.load_config())) == sorted(BAD_VALUES)
+
+
+@pytest.mark.parametrize("leaf", sorted(BAD_VALUES))
+def test_bad_value_names_its_leaf(leaf):
+    overrides: dict = {}
+    *sections, key = leaf.split(".")
+    tree = overrides
+    for section in sections:
+        tree = tree.setdefault(section, {})
+    tree[key] = BAD_VALUES[leaf]
+    with pytest.raises(ConfigError, match=re.escape(leaf)):
+        configlib.load_config(None, overrides)
 
 
 def test_yaml_parse_error_reports_line(tmp_path):

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from sarbot import config as configlib
-from sarbot import exper
+from sarbot import exper, simenv
 from sarbot.errors import CalibrationError, ConfigError
 from sarbot.exper import (
     SuccessTracker,
@@ -249,6 +249,21 @@ def test_batch_is_permutation_invariant_in_seed_order():
     sb = {(r["seed"]): r for r in b.rows}
     assert sa == sb
     assert a.summary == b.summary
+
+
+def test_batch_builds_the_canvas_once(monkeypatch):
+    calls = []
+    make_track = simenv.make_track
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return make_track(*args, **kwargs)
+
+    monkeypatch.setattr(simenv, "make_track", counting)
+    cfg = quick_cfg(max_duration=2.0)
+    cfg = replace(cfg, reflex=replace(cfg.reflex, loop_gain=5e-6))
+    run_batch(cfg, rules=["sar", "gdm"], etas=[0.1], seeds=[1, 2])
+    assert calls == ["rounded_rect"]
 
 
 def test_batch_rejects_bad_rules():

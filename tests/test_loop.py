@@ -103,3 +103,6 @@ def test_verify_descent_sign_logic():
     assert verify_descent(-0.5, +40.0)
     assert not verify_descent(+0.5, +40.0)
     assert not verify_descent(0.0, -40.0)
+    # a non-finite gain never passes, whatever its sign
+    assert not verify_descent(float("nan"), -40.0)
+    assert not verify_descent(+0.5, float("-inf"))
