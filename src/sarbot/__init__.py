@@ -29,7 +29,6 @@ from .exper import (
     TrialConfig,
     TrialRecord,
     calibrate,
-    error_integral,
     moving_average,
     run_batch,
     run_trial,

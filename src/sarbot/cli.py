@@ -125,11 +125,12 @@ def _load(args) -> dict:
 
 def cmd_trial(args) -> int:
     cfg = _load(args)
+    trial_cfg = configlib.to_trial_config(cfg)
+    canvas = trial_cfg.track.build()
     digest = configlib.config_hash(cfg)
     run_dir = _make_run_dir(_out_root(args), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
-    trial_cfg = configlib.to_trial_config(cfg)
-    record = exper.run_trial(trial_cfg)
+    record = exper.run_trial(trial_cfg, canvas=canvas)
     if cfg["output"]["trace"]:
         exper.write_trial_artifacts(record, run_dir, digest)
     else:
@@ -152,10 +153,10 @@ def cmd_trial(args) -> int:
 
 def cmd_batch(args) -> int:
     cfg = _load(args)
+    trial_cfg = configlib.to_trial_config(cfg)
     digest = configlib.config_hash(cfg)
     run_dir = _make_run_dir(_out_root(args), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
-    trial_cfg = configlib.to_trial_config(cfg)
     result = exper.run_batch(
         trial_cfg,
         rules=cfg["batch"]["rules"],

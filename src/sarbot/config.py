@@ -232,18 +232,28 @@ def dump_config(cfg: dict, path) -> None:
 
 
 def to_trial_config(cfg: dict) -> exper.TrialConfig:
-    """Build the runtime trial configuration from a resolved config dict."""
+    """Build the runtime trial configuration from a resolved config dict.
+
+    A value that passes its leaf check but not the check of the part that
+    holds it (``loop.k`` out of order, say) raises a ConfigError prefixed
+    with the part's YAML section."""
     fields: dict = {}
     parts: dict = {}
+    sections: dict = {}
     for leaf, (attr, _, none) in _LEAVES.items():
         value = _lookup(cfg, leaf)
         value = None if value == none else _runtime(value, _get(_REFERENCE, attr))
         part, _, name = attr.rpartition(".")
         (parts.setdefault(part, {}) if part else fields)[name] = value
-    rule = parts.pop("rule")
-    fields["rule"] = None if rule["kind"] is None else netcore.UpdateRule(**rule)
+        sections.setdefault(part, leaf.partition(".")[0])
     for part, kwargs in parts.items():
-        fields[part] = type(getattr(_REFERENCE, part))(**kwargs)
+        if part == "rule" and kwargs["kind"] is None:  # learning disabled
+            fields[part] = None
+            continue
+        try:
+            fields[part] = type(getattr(_REFERENCE, part))(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{sections[part]}: {exc}") from exc
     return exper.TrialConfig(**fields)
 
 

@@ -52,8 +52,8 @@ class SimParams:
     integrator: str = "arc"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.v0 <= 0:
-            raise ConfigError("dt and v0 must be positive")
+        if self.dt <= 0 or self.v0 <= 0 or self.wheel_base <= 0:
+            raise ConfigError("dt, v0 and wheel_base must be positive")
 
 
 @dataclass
@@ -197,12 +197,6 @@ def moving_average(e, window: float, dt: float) -> np.ndarray:
     for i in range(abs_e.size):
         out[i] = _window_mean(abs_e, i, w)
     return out
-
-
-def error_integral(record: TrialRecord) -> float:
-    """Total accumulated |E| over the trial, in GSV-seconds."""
-    dt = record.t[1] - record.t[0] if record.t.size > 1 else 0.0
-    return float(np.sum(np.abs(record.e)) * dt)
 
 
 def spike_episodes(e, dt: float, height: float = 2.0, merge_gap: float = 2.0):
@@ -433,15 +427,7 @@ def calibrate(
     """
     horizon = settle + measure
     length = cfg.sim.v0 * horizon * 1.5 + 20.0
-    canvas = simenv.make_track(
-        "straight",
-        {"length": length},
-        width=cfg.track.width,
-        scale=cfg.track.scale,
-        margin=cfg.track.margin,
-        path_value=cfg.track.path_value,
-        bg_value=cfg.track.bg_value,
-    )
+    canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
     try:
         e_plus = _probe_mean_error(cfg, canvas, +probe_amplitude, settle, measure)
         e_minus = _probe_mean_error(cfg, canvas, -probe_amplitude, settle, measure)

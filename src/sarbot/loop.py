@@ -19,19 +19,13 @@ from .errors import ConfigError, NumericError, StateError
 @dataclass
 class LdrReadout:
     """Six ground-sensor values: ``g`` for the left triple, ``g_star`` for
-    their mirrored right counterparts, innermost first."""
+    their mirrored right counterparts, innermost first.
+
+    Not checked here: ``simenv.sample_ldr`` derives them from a canvas that
+    ``make_track`` or ``read_pgm`` checked."""
 
     g: np.ndarray
     g_star: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.g_star = np.asarray(self.g_star, dtype=float)
-        for arr in (self.g, self.g_star):
-            if arr.shape != (3,):
-                raise ConfigError("ldr readout needs 3 values per side")
-            if arr.min() < 0 or arr.max() >= 256:
-                raise ConfigError("ldr values must lie in [0, 256)")
 
 
 @dataclass
@@ -65,7 +59,7 @@ class ReflexConfig:
 
 def control_error(readout: LdrReadout, cfg: ReflexConfig) -> float:
     """Weighted sum of left-right sensor differences, in GSV."""
-    return float(np.dot(cfg.k, readout.g - readout.g_star))
+    return float(np.dot(cfg.k, np.subtract(readout.g, readout.g_star)))
 
 
 def reflex_action(e: float, cfg: ReflexConfig) -> float:

@@ -24,17 +24,14 @@ TRACK_KINDS = ("straight", "circle", "rounded_rect", "spline")
 
 @dataclass(frozen=True)
 class RobotPose:
-    """Robot position/heading plus its kinematic constants."""
+    """Robot position/heading plus its kinematic constants, which
+    ``exper.SimParams`` checks."""
 
     x: float
     y: float
     theta: float
     wheel_base: float = 10.0
     v0: float = 5.0
-
-    def __post_init__(self):
-        if self.wheel_base <= 0:
-            raise ConfigError("wheel_base must be positive")
 
 
 def step(pose: RobotPose, mc: float, dt: float, integrator: str = "arc") -> RobotPose:
@@ -43,9 +40,9 @@ def step(pose: RobotPose, mc: float, dt: float, integrator: str = "arc") -> Robo
     Wheel speeds are v0 +/- mc, so the linear speed is always exactly v0 and
     the angular rate is 2*mc/wheel_base. ``arc`` integrates the exact
     constant-curvature arc; ``euler`` translates along the old heading first.
+    ``dt`` and the pose's constants are not checked here: ``exper.SimParams``
+    checks them once, where a trial takes them from its configuration.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     w = 2.0 * mc / pose.wheel_base
     if integrator == "euler":
         x = pose.x + pose.v0 * math.cos(pose.theta) * dt

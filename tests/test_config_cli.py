@@ -203,6 +203,23 @@ def test_cli_invalid_rule_is_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, override, section", [
+    ("trial", {"loop": {"k": [3, 2, 1]}}, "loop"),
+    ("batch", {"loop": {"k": [3, 2, 1]}}, "loop"),
+    ("trial", {"track": {"path_value": 200, "bg_value": 100}}, None),
+], ids=["trial-loop.k", "batch-loop.k", "trial-track.path_value"])
+def test_cli_part_config_error_makes_no_run_dir(tmp_path, capsys, command, override, section):
+    # values that pass their leaf check but not their part's fail before the
+    # run directory exists
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(override))
+    out = tmp_path / "r"
+    assert cli.main([command, "--config", str(p), "--out", str(out)]) == cli.EXIT_CONFIG
+    if section is not None:
+        assert f"config error: {section}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_trace_csvs_are_byte_identical_across_runs(tmp_path):
     cfg = fast_config(tmp_path)
     outs = []

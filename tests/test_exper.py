@@ -10,10 +10,10 @@ from sarbot import config as configlib
 from sarbot import exper, simenv
 from sarbot.errors import CalibrationError, ConfigError
 from sarbot.exper import (
+    SimParams,
     SuccessTracker,
     TrackSpec,
     TrialConfig,
-    error_integral,
     moving_average,
     run_batch,
     run_trial,
@@ -58,24 +58,11 @@ def test_moving_average_validation():
 
 
 def test_error_integral_examples():
-    rec_t = np.arange(0, 3.0, 0.05)
-    rec = _fake_record(e=np.zeros(rec_t.size), t=rec_t)
-    assert error_integral(rec) == 0.0
-    rec = _fake_record(e=np.full(rec_t.size, 2.0), t=rec_t)
-    npt.assert_allclose(error_integral(rec), 2.0 * rec_t.size * 0.05)
-
-
-def _fake_record(e, t):
-    z = np.zeros_like(e)
-    return exper.TrialRecord(
-        t=t, e=e, ebar=z, a_r=z, a_p=z, mc=z, kappa=z,
-        pose_x=z, pose_y=z, pose_theta=z,
-        distance_t=np.array([0.0]), distances=np.zeros((1, 1)),
-        success_time=None, succeeded=False, aborted=False, abort_reason=None,
-        error_integral=float(np.abs(e).sum() * 0.05), duration=t.size * 0.05,
-        seed=0, rule_kind="none", eta=0.0, loop_gain=1.0, events=[],
-        saturated_ticks=0, network=None,
-    )
+    cfg = quick_cfg(max_duration=20.0)
+    rec = run_trial(cfg, loop_gain=5.0e-6)
+    expect = math.fsum(np.abs(rec.e).tolist()) * cfg.sim.dt
+    assert expect > 0
+    assert math.isclose(rec.error_integral, expect, rel_tol=1e-12)
 
 
 def test_spike_episode_detection_and_merging():
@@ -213,6 +200,22 @@ def test_calibrate_stronger_reflex_shrinks_measured_gain():
     weak = exper.calibrate(replace(cfg, reflex=replace(cfg.reflex, reflex_gain=0.04)))
     strong = exper.calibrate(replace(cfg, reflex=replace(cfg.reflex, reflex_gain=0.08)))
     assert abs(strong.plant_gain) < abs(weak.plant_gain)
+
+
+def test_sim_params_validation():
+    for bad in ({"dt": 0.0}, {"v0": 0.0}, {"wheel_base": 0.0}):
+        with pytest.raises(ConfigError):
+            SimParams(**bad)
+
+
+def test_background_above_255_runs():
+    # a background lighter than 255 makes G = 255 - GSV negative; the trial
+    # and the probe must accept such readings
+    cfg = quick_cfg(max_duration=20.0, track=TrackSpec(bg_value=255.5))
+    assert np.isfinite(exper.calibrate(cfg).plant_gain)
+    rec = run_trial(cfg, loop_gain=5.0e-6)
+    assert not rec.aborted
+    assert rec.duration == pytest.approx(20.0)
 
 
 def test_calibrate_probe_failure_raises():

@@ -83,13 +83,6 @@ def test_reflex_config_validation():
         ReflexConfig(mc_limit=0.0)
 
 
-def test_readout_validation():
-    with pytest.raises(ConfigError):
-        LdrReadout(g=np.zeros(2), g_star=np.zeros(3))
-    with pytest.raises(ConfigError):
-        LdrReadout(g=np.array([0.0, 0.0, 256.0]), g_star=np.zeros(3))
-
-
 def test_estimate_loop_gain():
     npt.assert_allclose(estimate_loop_gain(-10.0, 10.0, 0.2), -50.0)
     with pytest.raises(ConfigError):

@@ -36,18 +36,6 @@ def test_mirrored_grid_negates_differences():
     npt.assert_array_equal(difference_signals(mirrored), -difference_signals(grid))
 
 
-def test_grid_validation():
-    with pytest.raises(ConfigError):
-        difference_signals(np.zeros((8, 10)))
-    bad = np.zeros((8, 12))
-    bad[0, 0] = 256.0
-    with pytest.raises(ConfigError):
-        difference_signals(bad)
-    bad[0, 0] = np.nan
-    with pytest.raises(ConfigError):
-        difference_signals(bad)
-
-
 def test_filter_array_validation():
     with pytest.raises(ConfigError):
         FilterArray([[1.0]] * 4)

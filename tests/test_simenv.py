@@ -79,12 +79,9 @@ def test_step_linear_speed_is_v0():
 
 
 def test_step_validation():
-    with pytest.raises(ConfigError):
-        step(RobotPose(0, 0, 0), 0.0, 0.0)
+    # dt and wheel_base are checked once, by exper.SimParams
     with pytest.raises(ConfigError):
         step(RobotPose(0, 0, 0), 0.0, 0.05, integrator="rk9")
-    with pytest.raises(ConfigError):
-        RobotPose(0, 0, 0, wheel_base=0.0)
 
 
 # ----------------------------------------------------------------------
