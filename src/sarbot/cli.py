@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as configlib
@@ -125,12 +126,10 @@ def _load(args) -> dict:
 
 def cmd_trial(args) -> int:
     cfg = _load(args)
-    trial_cfg = configlib.to_trial_config(cfg)
-    canvas = trial_cfg.track.build()
+    record = exper.run_trial(configlib.to_trial_config(cfg))
     digest = configlib.config_hash(cfg)
     run_dir = _make_run_dir(_out_root(args), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
-    record = exper.run_trial(trial_cfg, canvas=canvas)
     if cfg["output"]["trace"]:
         exper.write_trial_artifacts(record, run_dir, digest)
     else:
@@ -154,6 +153,11 @@ def cmd_trial(args) -> int:
 def cmd_batch(args) -> int:
     cfg = _load(args)
     trial_cfg = configlib.to_trial_config(cfg)
+    # build and calibrate first, so that a failure leaves no run directory
+    canvas = trial_cfg.track.build()
+    if trial_cfg.reflex.loop_gain is None:
+        lam = exper.calibrate(trial_cfg).loop_gain
+        trial_cfg = replace(trial_cfg, reflex=replace(trial_cfg.reflex, loop_gain=lam))
     digest = configlib.config_hash(cfg)
     run_dir = _make_run_dir(_out_root(args), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
@@ -164,6 +168,7 @@ def cmd_batch(args) -> int:
         seeds=configlib.batch_seeds(cfg),
         jobs=cfg["batch"]["jobs"],
         out_dir=run_dir if cfg["output"]["trace"] else None,
+        canvas=canvas,
     )
     exper.write_batch_artifacts(result, run_dir)
     for cell in result.summary:

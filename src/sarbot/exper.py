@@ -300,13 +300,7 @@ def run_trial(
         kappa = looplib.closed_loop_gradient(e, reflex)
 
         if cfg.rule is not None:
-            if cfg.rule.kind == netcore.GDM:
-                net.backprop_delta()
-            else:
-                net.local_prop(e)
-                if cfg.rule.kind == netcore.SAR:
-                    net.sign_prop(e)
-            net.apply_update(cfg.rule, kappa)
+            net.apply_update(cfg.rule, e, kappa)
 
         abs_e[i] = abs(e)
         ebar = _window_mean(abs_e, i, w_ticks)
@@ -507,6 +501,7 @@ def run_batch(
     seeds,
     jobs: int = 1,
     out_dir=None,
+    canvas: simenv.Canvas | None = None,
 ) -> BatchResult:
     """Run len(rules) * len(etas) * len(seeds) independent trials.
 
@@ -520,7 +515,8 @@ def run_batch(
         if kind not in netcore.RULES:
             raise ConfigError(f"unknown rule {kind!r} in batch")
     lam, _ = _resolve_loop_gain(cfg)
-    canvas = cfg.track.build()  # every trial runs on the same world
+    if canvas is None:
+        canvas = cfg.track.build()  # every trial runs on the same world
     trial_dir = None
     if out_dir is not None:
         trial_dir = out_dir / "trials"

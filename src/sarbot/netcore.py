@@ -1,24 +1,26 @@
 """Fully connected feed-forward core with three interchangeable update rules.
 
 The network is a plain bias-free stack of dense layers. Besides the forward
-pass it maintains three per-layer error quantities, each feeding one rule:
+pass it offers three stateless error passes, each reading the last forward
+state and returning one array per layer:
 
-* ``delta`` -- sensitivity of the predictive output to every sum-output,
-  obtained by full backpropagation; drives the classical gradient rule (gdm).
-* ``gamma`` -- local error: the scalar control error pushed one layer deep
-  through each neuron's outgoing weights; drives the local-propagation rule.
-* ``sign``  -- {-1, 0, +1} matrices produced by cascading only the sign of
+* ``backprop_delta`` -- sensitivity of the predictive output to every
+  sum-output, by full backpropagation; drives the gradient rule (gdm).
+* ``local_prop`` -- local error gamma: the scalar control error pushed one
+  layer deep through each neuron's outgoing weights; drives localprop.
+* ``sign_prop`` -- {-1, 0, +1} matrices produced by cascading only the sign of
   the error through the whole stack; together with ``|gamma|`` as magnitude
   they drive the sign-and-relevance rule (sar).  The cascade assumes a
   strictly increasing activation (every entry of ``_ACTIVATIONS`` is), so
   each slope has sign +1 and drops out; a saturated neuron, whose numerical
   slope rounds to 0, therefore still passes its sign on.
 
-All rules apply ``d_w = kappa * eta * (err x input)`` where ``kappa`` is the
-closed-loop gradient supplied by the control loop, ``x`` the outer product,
-and ``input`` the incoming activation vector (the predictor vector for the
-first layer).  The sign of ``kappa`` is what makes the updates descend the
-squared error; see the loop module's calibration helpers.
+``apply_update(rule, e, kappa)`` runs its rule's passes and applies
+``d_w = kappa * eta * (err x input)`` where ``kappa`` is the closed-loop
+gradient supplied by the control loop, ``x`` the outer product, and ``input``
+the incoming activation vector (the predictor vector for the first layer).
+The sign of ``kappa`` is what makes the updates descend the squared error;
+see the loop module's calibration helpers.
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ class UpdateRule:
 
 
 class Network:
-    """Mutable network state: weights plus the per-tick signal buffers.
+    """Mutable network state: weights plus the last forward pass.
 
     One trial owns one instance and drives it strictly sequentially:
-    forward -> error passes -> apply_update, once per tick.
+    forward -> apply_update, once per tick.  The error passes read the state
+    the last forward left and store nothing.
     """
 
     def __init__(self, weights, activations, output_weighting):
@@ -112,14 +115,6 @@ class Network:
         self.p = None  # last input vector
         self.v = [None] * n  # sum-outputs
         self.a = [None] * n  # activations
-        self.delta = [None] * n  # internal errors
-        self.gamma = [None] * n  # local errors
-        self.sign = [None] * n  # sign matrices
-        self.a_p = None
-        self._fwd = False
-        self._have_delta = False
-        self._have_gamma = False
-        self._have_sign = False
 
     @property
     def n_layers(self) -> int:
@@ -153,13 +148,10 @@ class Network:
             self.v[l] = v
             self.a[l] = x
         self.p = p
-        self.a_p = float(self.m @ x)
-        self._fwd = True
-        self._have_delta = self._have_gamma = self._have_sign = False
-        return self.a_p
+        return float(self.m @ x)
 
     def _require_forward(self, what):
-        if not self._fwd:
+        if self.p is None:
             raise StateError(f"{what} requires a forward pass first")
 
     def backprop_delta(self) -> list[np.ndarray]:
@@ -170,8 +162,6 @@ class Network:
         d[n - 1] = self.m * self._slope(n - 1)
         for l in range(n - 2, -1, -1):
             d[l] = self._slope(l) * (self.weights[l + 1].T @ d[l + 1])
-        self.delta = d
-        self._have_delta = True
         return d
 
     def sign_prop(self, e: float) -> list[np.ndarray]:
@@ -191,8 +181,6 @@ class Network:
         s[n - 1] = np.sign(e) * np.sign(self.m)
         for l in range(n - 2, -1, -1):
             s[l] = np.sign(self.weights[l + 1].T @ s[l + 1])
-        self.sign = s
-        self._have_sign = True
         return s
 
     def local_prop(self, e: float) -> list[np.ndarray]:
@@ -210,39 +198,34 @@ class Network:
         g[last] = self.m * self._slope(last) * e
         for l in range(n - 2, -1, -1):
             g[l] = self._slope(l) * (self.weights[l + 1].sum(axis=0) * e)
-        self.gamma = g
-        self._have_gamma = True
         return g
 
     # ------------------------------------------------------------------
     # weight updates
     # ------------------------------------------------------------------
 
-    def _rule_errors(self, rule: UpdateRule) -> list[np.ndarray]:
+    def _rule_errors(self, rule: UpdateRule, e: float) -> list[np.ndarray]:
         if rule.kind == GDM:
-            if not self._have_delta:
-                raise StateError("gdm update requires backprop_delta this tick")
-            return self.delta
+            return self.backprop_delta()
         if rule.kind == LOCALPROP:
-            if not self._have_gamma:
-                raise StateError("localprop update requires local_prop this tick")
-            return self.gamma
-        if not (self._have_gamma and self._have_sign):
-            raise StateError("sar update requires local_prop and sign_prop this tick")
-        return [s * np.abs(g) for s, g in zip(self.sign, self.gamma)]
+            return self.local_prop(e)
+        return [s * np.abs(g) for s, g in zip(self.sign_prop(e), self.local_prop(e))]
 
-    def compute_update(self, rule: UpdateRule, kappa: float) -> list[np.ndarray]:
-        """Weight deltas kappa * eta * (err x input) without applying them."""
+    def compute_update(
+        self, rule: UpdateRule, e: float, kappa: float
+    ) -> list[np.ndarray]:
+        """Weight deltas kappa * eta * (err x input) without applying them;
+        ``err`` is the rule's error quantity for the control error ``e``."""
         if not np.isfinite(kappa):
             raise NumericError(f"non-finite closed-loop gradient {kappa}")
-        errors = self._rule_errors(rule)
+        errors = self._rule_errors(rule, e)
         inputs = [self.p] + self.a[:-1]
         scale = rule.eta * kappa
         return [scale * np.outer(err, x) for err, x in zip(errors, inputs)]
 
-    def apply_update(self, rule: UpdateRule, kappa: float) -> None:
+    def apply_update(self, rule: UpdateRule, e: float, kappa: float) -> None:
         """Apply the rule's weight deltas in place."""
-        for w, d in zip(self.weights, self.compute_update(rule, kappa)):
+        for w, d in zip(self.weights, self.compute_update(rule, e, kappa)):
             w += d
 
     # ------------------------------------------------------------------

@@ -72,10 +72,6 @@ class FilterArray:
         self._hist = np.zeros((self.depth, CAMERA_ROWS, HALF_COLS))
         self._pos = 0
 
-    def reset(self) -> None:
-        self._hist[:] = 0.0
-        self._pos = 0
-
     def step(self, diff) -> np.ndarray:
         """Push one 8x6 difference grid and return the 240 predictor values."""
         self._pos = (self._pos + 1) % self.depth

@@ -137,7 +137,6 @@ class Canvas:
     scale: float  # cm per pixel
     start: tuple  # (x, y, theta) on-track start pose
     track_kind: str
-    line_width: float
     path: np.ndarray | None = None  # dense centerline polyline, for diagnostics
 
     @property
@@ -156,7 +155,6 @@ def load_canvas(path, scale: float, start=(0.0, 0.0, 0.0)) -> Canvas:
         scale=scale,
         start=tuple(start),
         track_kind="file",
-        line_width=0.0,
     )
 
 
@@ -444,6 +442,5 @@ def make_track(
         scale=scale,
         start=start,
         track_kind=kind,
-        line_width=width,
         path=path,
     )

@@ -142,21 +142,15 @@ def test_criterion_03_upper_layer_scaling_immunity():
         kappa = 2.0 * e
         layer = 0  # first layer: scale layers 3..L (1-based l+2..L)
         net.forward(p)
-        net.local_prop(e)
-        net.sign_prop(e)
-        net.backprop_delta()
-        sar0 = net.compute_update(UpdateRule(SAR, 0.2), kappa)[layer]
-        gdm0 = net.compute_update(UpdateRule(GDM, 0.2), kappa)[layer]
+        sar0 = net.compute_update(UpdateRule(SAR, 0.2), e, kappa)[layer]
+        gdm0 = net.compute_update(UpdateRule(GDM, 0.2), e, kappa)[layer]
         for c in (0.1, 10.0):
             scaled = copy.deepcopy(net)
             for l in range(layer + 2, scaled.n_layers):
                 scaled.weights[l] *= c
             scaled.forward(p)
-            scaled.local_prop(e)
-            scaled.sign_prop(e)
-            scaled.backprop_delta()
-            sar1 = scaled.compute_update(UpdateRule(SAR, 0.2), kappa)[layer]
-            gdm1 = scaled.compute_update(UpdateRule(GDM, 0.2), kappa)[layer]
+            sar1 = scaled.compute_update(UpdateRule(SAR, 0.2), e, kappa)[layer]
+            gdm1 = scaled.compute_update(UpdateRule(GDM, 0.2), e, kappa)[layer]
             total += 1
             sar_exact += np.array_equal(sar0, sar1)
             gdm_changed += np.abs(gdm1 - gdm0).max() > 0
@@ -189,11 +183,8 @@ def test_criterion_04_zero_error_fixed_point():
         net.forward(rng.uniform(-1, 1, sizes[0]))
         e = 0.0
         kappa = 2.0 * e * 5e-6
-        net.backprop_delta()
-        net.local_prop(e)
-        net.sign_prop(e)
         for kind in (GDM, LOCALPROP, SAR):
-            for d in net.compute_update(UpdateRule(kind, 0.5), kappa):
+            for d in net.compute_update(UpdateRule(kind, 0.5), e, kappa):
                 if np.any(d != 0.0):
                     nonzero += 1
     report(

@@ -203,18 +203,24 @@ def test_cli_invalid_rule_is_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("command, override, section", [
-    ("trial", {"loop": {"k": [3, 2, 1]}}, "loop"),
-    ("batch", {"loop": {"k": [3, 2, 1]}}, "loop"),
-    ("trial", {"track": {"path_value": 200, "bg_value": 100}}, None),
-], ids=["trial-loop.k", "batch-loop.k", "trial-track.path_value"])
-def test_cli_part_config_error_makes_no_run_dir(tmp_path, capsys, command, override, section):
-    # values that pass their leaf check but not their part's fail before the
-    # run directory exists
+@pytest.mark.parametrize("command, override, section, code", [
+    ("trial", {"loop": {"k": [3, 2, 1]}}, "loop", cli.EXIT_CONFIG),
+    ("batch", {"loop": {"k": [3, 2, 1]}}, "loop", cli.EXIT_CONFIG),
+    ("trial", {"track": {"path_value": 200, "bg_value": 100}}, None, cli.EXIT_CONFIG),
+    ("batch", {"track": {"path_value": 200, "bg_value": 100}}, None, cli.EXIT_CONFIG),
+    # a line 0.1 GSV darker than the ground gives the probe no response
+    ("trial", {"track": {"path_value": 254.9, "bg_value": 255.0}}, None,
+     cli.EXIT_CALIBRATION),
+], ids=["trial-loop.k", "batch-loop.k", "trial-track.path_value",
+        "batch-track.path_value", "trial-calibration"])
+def test_cli_part_config_error_makes_no_run_dir(tmp_path, capsys, command, override,
+                                                section, code):
+    # values that pass their leaf check but not their part's, and a failed
+    # calibration, fail before the run directory exists
     p = tmp_path / "c.yaml"
     p.write_text(yaml.safe_dump(override))
     out = tmp_path / "r"
-    assert cli.main([command, "--config", str(p), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main([command, "--config", str(p), "--out", str(out)]) == code
     if section is not None:
         assert f"config error: {section}: " in capsys.readouterr().err
     assert not out.exists()

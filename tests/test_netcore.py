@@ -89,10 +89,16 @@ def test_delta_output_layer_is_weighting_times_slope():
     npt.assert_allclose(delta[-1], np.array([1.0, 3.0, 5.0]) * slope, rtol=1e-14)
 
 
-def test_delta_requires_forward():
+@pytest.mark.parametrize("call", [
+    lambda net: net.backprop_delta(),
+    lambda net: net.local_prop(1.0),
+    lambda net: net.sign_prop(1.0),
+    lambda net: net.compute_update(UpdateRule(SAR, 0.1), 1.0, 1.0),
+], ids=["backprop_delta", "local_prop", "sign_prop", "compute_update"])
+def test_delta_requires_forward(call):
     net = make_net([2, 2])
     with pytest.raises(StateError):
-        net.backprop_delta()
+        call(net)
 
 
 def test_delta_zero_next_layer_weights_gives_zero():
@@ -220,19 +226,12 @@ def test_local_prop_small_net_hand_computation():
 # ----------------------------------------------------------------------
 
 
-def run_passes(net, e):
-    net.backprop_delta()
-    net.local_prop(e)
-    net.sign_prop(e)
-
-
 def test_zero_kappa_freezes_all_rules():
     for kind in (GDM, LOCALPROP, SAR):
         net = make_net([3, 3, 2], seed=3)
         net.forward(np.array([0.2, -0.1, 0.4]))
-        run_passes(net, 0.0)
         before = [w.copy() for w in net.weights]
-        net.apply_update(UpdateRule(kind, 0.5), 0.0)
+        net.apply_update(UpdateRule(kind, 0.5), 0.0, 0.0)
         for b, w in zip(before, net.weights):
             npt.assert_array_equal(b, w)
 
@@ -243,12 +242,8 @@ def test_sar_equals_localprop_when_signs_and_errors_positive():
         w[:] = np.abs(w) + 0.05
     net.forward(np.array([0.3, 0.8]))
     e = 2.0
-    net.local_prop(e)
-    net.sign_prop(e)
-    rule_lp = UpdateRule(LOCALPROP, 0.1)
-    rule_sar = UpdateRule(SAR, 0.1)
-    d_lp = net.compute_update(rule_lp, 0.25)
-    d_sar = net.compute_update(rule_sar, 0.25)
+    d_lp = net.compute_update(UpdateRule(LOCALPROP, 0.1), e, 0.25)
+    d_sar = net.compute_update(UpdateRule(SAR, 0.1), e, 0.25)
     for a, b in zip(d_lp, d_sar):
         npt.assert_array_equal(a, b)
 
@@ -266,30 +261,39 @@ def test_sar_update_invariant_gdm_update_scales_on_linear_chain():
 
     net = build()
     net.forward(p)
-    run_passes(net, e)
-    sar1 = net.compute_update(UpdateRule(SAR, 0.2), kappa)[0]
-    gdm1 = net.compute_update(UpdateRule(GDM, 0.2), kappa)[0]
+    sar1 = net.compute_update(UpdateRule(SAR, 0.2), e, kappa)[0]
+    gdm1 = net.compute_update(UpdateRule(GDM, 0.2), e, kappa)[0]
 
     scaled = build()
     scaled.weights[2] *= 2.0
     scaled.forward(p)
-    run_passes(scaled, e)
-    sar2 = scaled.compute_update(UpdateRule(SAR, 0.2), kappa)[0]
-    gdm2 = scaled.compute_update(UpdateRule(GDM, 0.2), kappa)[0]
+    sar2 = scaled.compute_update(UpdateRule(SAR, 0.2), e, kappa)[0]
+    gdm2 = scaled.compute_update(UpdateRule(GDM, 0.2), e, kappa)[0]
 
     npt.assert_array_equal(sar1, sar2)
     npt.assert_allclose(gdm2, 2.0 * gdm1, rtol=1e-14)
     assert np.abs(gdm1).max() > 0
 
 
-def test_rule_state_mismatch_raises():
-    net = make_net([2, 2])
-    net.forward(np.array([0.1, 0.2]))
-    with pytest.raises(StateError):
-        net.apply_update(UpdateRule(GDM, 0.1), 1.0)
-    net.local_prop(1.0)
-    with pytest.raises(StateError):
-        net.apply_update(UpdateRule(SAR, 0.1), 1.0)  # sign_prop missing
+@pytest.mark.parametrize("kind", [GDM, LOCALPROP, SAR])
+def test_update_is_outer_product_of_rule_errors(kind):
+    rng = np.random.default_rng(7)
+    for seed in range(10):
+        sizes = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(2, 6)))]
+        net = make_net(sizes, seed=seed, w0=0.8, m=rng.uniform(-2, 2, sizes[-1]))
+        net.forward(rng.uniform(-1, 1, sizes[0]))
+        e, kappa, eta = float(rng.normal()), float(rng.normal()), 0.3
+        if kind == GDM:
+            errors = net.backprop_delta()
+        elif kind == LOCALPROP:
+            errors = net.local_prop(e)
+        else:
+            signs, gamma = net.sign_prop(e), net.local_prop(e)
+            errors = [s * np.abs(g) for s, g in zip(signs, gamma)]
+        inputs = [net.p] + net.a[:-1]
+        update = net.compute_update(UpdateRule(kind, eta), e, kappa)
+        for d, err, x in zip(update, errors, inputs, strict=True):
+            npt.assert_array_equal(d, eta * kappa * np.outer(err, x))
 
 
 def test_update_determinism_over_ticks():
@@ -301,9 +305,7 @@ def test_update_determinism_over_ticks():
             p = rng.uniform(-1, 1, 4)
             e = float(rng.normal())
             net.forward(p)
-            net.local_prop(e)
-            net.sign_prop(e)
-            net.apply_update(rule, 2.0 * e * 0.5)
+            net.apply_update(rule, e, 2.0 * e * 0.5)
         return net.weights
 
     w1, w2 = run(), run()
@@ -370,19 +372,15 @@ def test_positive_scaling_leaves_gamma_and_sar_update_unchanged():
         p = rng.uniform(-1, 1, sizes[0])
         e = float(rng.normal())
         net.forward(p)
-        net.local_prop(e)
-        net.sign_prop(e)
         rule = UpdateRule(SAR, 0.1)
-        base_update = net.compute_update(rule, 2.0 * e)[0]
-        base_gamma = net.gamma[0].copy()
+        base_update = net.compute_update(rule, e, 2.0 * e)[0]
+        base_gamma = net.local_prop(e)[0]
         for c in (0.1, 10.0):
             scaled = copy.deepcopy(net)
             for l in range(2, scaled.n_layers):
                 scaled.weights[l] *= c
             scaled.forward(p)
-            scaled.local_prop(e)
-            scaled.sign_prop(e)
-            npt.assert_array_equal(scaled.gamma[0], base_gamma)
+            npt.assert_array_equal(scaled.local_prop(e)[0], base_gamma)
             npt.assert_array_equal(
-                scaled.compute_update(rule, 2.0 * e)[0], base_update
+                scaled.compute_update(rule, e, 2.0 * e)[0], base_update
             )

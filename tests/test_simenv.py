@@ -27,7 +27,6 @@ def blank_canvas(side=60.0, value=255.0, scale=0.25):
         scale=scale,
         start=(side / 2, side / 2, 0.0),
         track_kind="blank",
-        line_width=0.0,
     )
 
 
