@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import loop as looplib
 from . import netcore, pgmio, signals, simenv
-from .errors import CalibrationError, ConfigError, OutOfBoundsError
+from .errors import CalibrationError, ConfigError, NumericError, OutOfBoundsError
 
 
 @dataclass
@@ -174,29 +175,58 @@ class SuccessTracker:
         return self.confirmed is not None
 
 
-def _window_mean(abs_e: np.ndarray, i: int, w: int) -> float:
-    """Mean of ``abs_e`` over the ``w`` samples ending at ``i`` (fewer at
-    the start). The sum is exactly rounded (``math.fsum``), so a constant
-    series averages to exactly itself whatever the window length."""
-    window = abs_e[max(0, i - w + 1) : i + 1]
-    return math.fsum(window.tolist()) / window.size
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to the exact sum held as Shewchuk's non-overlapping
+    partials (the ``msum`` recipe that ``math.fsum`` is built on)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+class TrailingMean:
+    """Mean of the last ``window`` pushed samples (fewer at the start).
+
+    The window's sum is kept exactly, as partials that gain each new sample
+    and the negation of the one that leaves, so every mean is the correctly
+    rounded sum, ``math.fsum`` of the window, divided by its length: a
+    constant series averages to exactly itself.  Samples must be finite.
+    """
+
+    def __init__(self, window: int):
+        self._samples = deque(maxlen=window)
+        self._partials: list[float] = []
+
+    def push(self, x: float) -> float:
+        """Add a sample and return the mean of the window it ends."""
+        if len(self._samples) == self._samples.maxlen:
+            _add_exact(self._partials, -self._samples[0])
+        self._samples.append(x)
+        _add_exact(self._partials, x)
+        return math.fsum(self._partials) / len(self._samples)
 
 
 def moving_average(e, window: float, dt: float) -> np.ndarray:
     """Trailing mean of |e| over the last ``window`` seconds (truncated at
     the start of the series), element for element what a trial records.
 
-    Each mean is an exact sum divided by the sample count, the same helper
-    the trial loop uses, so a constant |e| gives back exactly that constant.
+    Each mean comes from ``TrailingMean``, the helper the trial loop uses,
+    so a constant |e| gives back exactly that constant.
     """
     if window <= 0 or dt <= 0:
         raise ConfigError("window and dt must be positive")
     abs_e = np.abs(np.asarray(e, dtype=float))
-    w = max(1, int(round(window / dt)))
-    out = np.empty_like(abs_e)
-    for i in range(abs_e.size):
-        out[i] = _window_mean(abs_e, i, w)
-    return out
+    if not np.all(np.isfinite(abs_e)):
+        raise NumericError("moving_average needs finite samples")
+    trailing = TrailingMean(max(1, int(round(window / dt))))
+    return np.array([trailing.push(x) for x in abs_e.tolist()], dtype=float)
 
 
 def spike_episodes(e, dt: float, height: float = 2.0, merge_gap: float = 2.0):
@@ -240,7 +270,7 @@ def run_trial(
     )
     dt = cfg.sim.dt
     n_max = int(round(cfg.run.max_duration / dt))
-    w_ticks = max(1, int(round(cfg.run.window / dt)))
+    trailing = TrailingMean(max(1, int(round(cfg.run.window / dt))))
     dist_every = max(1, int(round(cfg.run.distance_interval / dt)))
     n_layers = net.n_layers
 
@@ -303,7 +333,7 @@ def run_trial(
             net.apply_update(cfg.rule, e, kappa)
 
         abs_e[i] = abs(e)
-        ebar = _window_mean(abs_e, i, w_ticks)
+        ebar = trailing.push(abs(e))
         for name, val in (
             ("t", t), ("e", e), ("ebar", ebar), ("a_r", a_r), ("a_p", a_p),
             ("mc", mc), ("kappa", kappa), ("x", pose.x), ("y", pose.y),

@@ -15,12 +15,15 @@ state and returning one array per layer:
   each slope has sign +1 and drops out; a saturated neuron, whose numerical
   slope rounds to 0, therefore still passes its sign on.
 
-``apply_update(rule, e, kappa)`` runs its rule's passes and applies
-``d_w = kappa * eta * (err x input)`` where ``kappa`` is the closed-loop
-gradient supplied by the control loop, ``x`` the outer product, and ``input``
-the incoming activation vector (the predictor vector for the first layer).
-The sign of ``kappa`` is what makes the updates descend the squared error;
-see the loop module's calibration helpers.
+``apply_update(rule, e, kappa)`` applies ``d_w = kappa * eta * (err x input)``
+where ``kappa`` is the closed-loop gradient supplied by the control loop,
+``x`` the outer product, and ``input`` the incoming activation vector (the
+predictor vector for the first layer).  The sign of ``kappa`` is what makes
+the updates descend the squared error; see the loop module's calibration
+helpers.  ``kappa`` is the relevance signal that gates all plasticity: a tick
+with ``kappa == 0`` (no control error) runs no pass and leaves the weights
+untouched, which is bit for bit what adding its all-zero deltas would do.
+A tick with ``kappa != 0`` runs its rule's passes, then the update.
 """
 
 from __future__ import annotations
@@ -87,7 +90,9 @@ class Network:
 
     One trial owns one instance and drives it strictly sequentially:
     forward -> apply_update, once per tick.  The error passes read the state
-    the last forward left and store nothing.
+    the last forward left and store nothing; ``apply_update`` calls them only
+    on ticks with ``kappa != 0``.  No weight is ever -0.0 (see ``__init__``),
+    which is what makes skipping a ``kappa == 0`` update bitwise exact.
     """
 
     def __init__(self, weights, activations, output_weighting):
@@ -95,7 +100,10 @@ class Network:
             raise ConfigError("a network needs at least one weight matrix")
         if len(activations) != len(weights):
             raise ConfigError("one activation per weight layer required")
-        self.weights = [np.array(w, dtype=float) for w in weights]
+        # "+ 0.0" turns -0.0 into +0.0 and keeps every other value; from here
+        # no update can make a -0.0 (x + y is -0.0 only if both are), so
+        # "w + (+-0.0) == w" holds bitwise for every weight
+        self.weights = [np.asarray(w, dtype=float) + 0.0 for w in weights]
         for l in range(1, len(self.weights)):
             if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
                 raise ConfigError(
@@ -211,20 +219,33 @@ class Network:
             return self.local_prop(e)
         return [s * np.abs(g) for s, g in zip(self.sign_prop(e), self.local_prop(e))]
 
+    def _require_update(self, what, kappa):
+        self._require_forward(what)
+        if not np.isfinite(kappa):
+            raise NumericError(f"non-finite closed-loop gradient {kappa}")
+
     def compute_update(
         self, rule: UpdateRule, e: float, kappa: float
     ) -> list[np.ndarray]:
         """Weight deltas kappa * eta * (err x input) without applying them;
         ``err`` is the rule's error quantity for the control error ``e``."""
-        if not np.isfinite(kappa):
-            raise NumericError(f"non-finite closed-loop gradient {kappa}")
+        self._require_update("compute_update", kappa)
         errors = self._rule_errors(rule, e)
         inputs = [self.p] + self.a[:-1]
         scale = rule.eta * kappa
         return [scale * np.outer(err, x) for err, x in zip(errors, inputs)]
 
     def apply_update(self, rule: UpdateRule, e: float, kappa: float) -> None:
-        """Apply the rule's weight deltas in place."""
+        """Apply the rule's weight deltas in place.
+
+        ``kappa == 0`` (either sign) returns after the checks, without
+        running a pass.  With finite errors and inputs every delta would be
+        +-0.0, and adding +-0.0 leaves a weight that is not -0.0 bitwise
+        unchanged, so the skip changes no result.
+        """
+        self._require_update("apply_update", kappa)
+        if kappa == 0.0:
+            return
         for w, d in zip(self.weights, self.compute_update(rule, e, kappa)):
             w += d
 

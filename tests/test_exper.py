@@ -1,19 +1,22 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarbot import config as configlib
-from sarbot import exper, simenv
-from sarbot.errors import CalibrationError, ConfigError
+from sarbot import exper, netcore, simenv
+from sarbot.errors import CalibrationError, ConfigError, NumericError
 from sarbot.exper import (
     SimParams,
     SuccessTracker,
     TrackSpec,
     TrialConfig,
+    TrialRecord,
     moving_average,
     run_batch,
     run_trial,
@@ -55,6 +58,33 @@ def test_moving_average_square_pulse_reaches_half():
 def test_moving_average_validation():
     with pytest.raises(ConfigError):
         moving_average(np.ones(5), 0.0, 0.05)
+
+
+def fsum_window_means(e, w):
+    a = np.abs(np.asarray(e, dtype=float))
+    return [math.fsum(a[max(0, i - w + 1) : i + 1].tolist()) / min(i + 1, w)
+            for i in range(a.size)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    e=st.one_of(
+        st.lists(st.floats(-1e150, 1e150), max_size=120),
+        st.lists(st.sampled_from([0.0, -0.0, 0.1, 3.0, -1e-300, 1e100, 2.0**-1074]),
+                 max_size=120),
+        st.builds(lambda v, n: [v] * n, st.floats(-1e150, 1e150), st.integers(0, 120)),
+    ),
+    w=st.integers(1, 40),
+)
+def test_moving_average_is_the_fsum_of_each_window(e, w):
+    got = moving_average(e, w * 0.05, 0.05)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in fsum_window_means(e, w)]
+
+
+def test_moving_average_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            moving_average([1.0, bad, 2.0], 0.1, 0.05)
 
 
 def test_error_integral_examples():
@@ -154,6 +184,28 @@ def test_trial_determinism_bitwise():
         npt.assert_array_equal(getattr(a, name), getattr(b, name))
     for wa, wb in zip(a.network.weights, b.network.weights):
         npt.assert_array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("kind", ["gdm", "localprop", "sar"])
+def test_skipping_zero_kappa_updates_changes_no_bit(kind, monkeypatch):
+    cfg = quick_cfg(rule=UpdateRule(kind, math.e**-1), max_duration=40.0, seed=3)
+    gated = run_trial(cfg, loop_gain=5e-6)
+
+    def unconditional(self, rule, e, kappa):
+        for w, d in zip(self.weights, self.compute_update(rule, e, kappa)):
+            w += d
+
+    monkeypatch.setattr(netcore.Network, "apply_update", unconditional)
+    full = run_trial(cfg, loop_gain=5e-6)
+    assert 0 < np.count_nonzero(gated.kappa) < gated.kappa.size
+    assert gated.distances[-1].max() > 0
+    for f in fields(TrialRecord):
+        a, b = getattr(gated, f.name), getattr(full, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+    for wa, wb in zip(gated.network.weights, full.network.weights, strict=True):
+        assert wa.tobytes() == wb.tobytes()
 
 
 def test_lost_line_aborts_cleanly():

@@ -3,11 +3,14 @@ import copy
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarbot.errors import ConfigError, NumericError, StateError
 from sarbot.netcore import (
     GDM,
     LOCALPROP,
+    RULES,
     SAR,
     LayerSpec,
     Network,
@@ -234,6 +237,77 @@ def test_zero_kappa_freezes_all_rules():
         net.apply_update(UpdateRule(kind, 0.5), 0.0, 0.0)
         for b, w in zip(before, net.weights):
             npt.assert_array_equal(b, w)
+
+
+def bitwise(weights):
+    return [w.tobytes() for w in weights]
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.0], ids=["plus0", "minus0"])
+@pytest.mark.parametrize("kind", RULES)
+def test_zero_kappa_runs_no_pass_and_keeps_weights_bitwise(kind, kappa, monkeypatch):
+    def no_pass(self, rule, e):
+        raise AssertionError("an error pass ran on a kappa = 0 tick")
+
+    monkeypatch.setattr(Network, "_rule_errors", no_pass)
+    net = make_net([4, 3, 3, 2], seed=5)
+    net.forward(np.array([0.2, -0.1, 0.4, 0.0]))
+    before = bitwise(net.weights)
+    net.apply_update(UpdateRule(kind, 0.5), 1.7, kappa)
+    assert bitwise(net.weights) == before
+    with pytest.raises(AssertionError, match="error pass ran"):
+        net.apply_update(UpdateRule(kind, 0.5), 1.7, 1e-3)
+
+
+@pytest.mark.parametrize("kind", RULES)
+def test_zero_kappa_keeps_the_update_checks(kind):
+    rule = UpdateRule(kind, 0.5)
+    net = make_net([3, 2, 2])
+    with pytest.raises(StateError):
+        net.apply_update(rule, 0.0, 0.0)
+    net.forward(np.array([0.2, -0.1, 0.4]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            net.apply_update(rule, 0.0, bad)
+
+
+def test_negative_zero_weights_become_positive_zero():
+    net = Network([[[-0.0, 1.0]], [[-0.0]]], ["tanh", "tanh"], [1.0])
+    assert not any(np.signbit(w[w == 0]).any() for w in net.weights)
+    assert not any(np.signbit(w[w == 0]).any() for w in net.initial_weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=6),
+    w0=st.sampled_from([0.05, 0.8, 40.0]),
+    kind=st.sampled_from(RULES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_kappa_is_exact_and_no_weight_becomes_negative_zero(sizes, w0, kind, seed):
+    # w0 = 40 saturates tanh, so slopes and many deltas round to +-0.0; zeroed
+    # weights and inputs make +0.0 weights meet -0.0 deltas
+    rng = np.random.default_rng(seed)
+    net = make_net(sizes, seed=seed, w0=w0, m=rng.uniform(-2, 2, sizes[-1]))
+    for w in net.weights:
+        w[rng.random(w.shape) < 0.3] = 0.0
+    rule = UpdateRule(kind, 0.7)
+    for _ in range(8):
+        p = rng.uniform(-1, 1, sizes[0])
+        p[rng.random(sizes[0]) < 0.3] = 0.0
+        net.forward(p)
+        e = float(rng.choice([0.0, rng.normal(0, 5)]))
+        kappa = float(rng.choice([0.0, -0.0]))
+        before = bitwise(net.weights)
+        full = [w.copy() for w in net.weights]
+        for w, d in zip(full, net.compute_update(rule, e, kappa)):
+            w += d
+        assert bitwise(full) == before  # the update the guard skips is a no-op
+        net.apply_update(rule, e, kappa)
+        assert bitwise(net.weights) == before
+        net.apply_update(rule, e, float(rng.normal(0, 0.1)))
+        for w in net.weights:
+            assert not np.signbit(w[w == 0.0]).any()
 
 
 def test_sar_equals_localprop_when_signs_and_errors_positive():
