@@ -272,7 +272,7 @@ def run_trial(
     n_max = int(round(cfg.run.max_duration / dt))
     trailing = TrailingMean(max(1, int(round(cfg.run.window / dt))))
     dist_every = max(1, int(round(cfg.run.distance_interval / dt)))
-    n_layers = net.n_layers
+    layers = range(1, net.n_layers + 1)
 
     cols = {
         name: np.zeros(n_max)
@@ -280,6 +280,9 @@ def run_trial(
     }
     abs_e = np.zeros(n_max)
     dist_t, dist_rows = [], []
+    # the distances at the last snapshot, reused until an update runs: a
+    # kappa = 0 tick leaves every weight as it was
+    dist_row = None
     events = []
     tracker = SuccessTracker(cfg.run.threshold, cfg.run.warmup, cfg.run.window)
     aborted = False
@@ -303,8 +306,7 @@ def run_trial(
     for i in range(n_max):
         t = i * dt
         try:
-            grid = simenv.sample_camera(canvas, pose, cfg.layout)
-            readout = simenv.sample_ldr(canvas, pose, cfg.layout)
+            grid, readout = simenv.sample_camera(canvas, pose, cfg.layout)
         except OutOfBoundsError as exc:
             aborted = True
             abort_reason = str(exc)
@@ -331,6 +333,8 @@ def run_trial(
 
         if cfg.rule is not None:
             net.apply_update(cfg.rule, e, kappa)
+            if kappa != 0.0:
+                dist_row = None
 
         abs_e[i] = abs(e)
         ebar = trailing.push(abs(e))
@@ -341,10 +345,10 @@ def run_trial(
         ):
             cols[name][i] = val
         if i % dist_every == 0:
+            if dist_row is None:
+                dist_row = [net.euclidean_distance(l) for l in layers]
             dist_t.append(t)
-            dist_rows.append(
-                [net.euclidean_distance(l) for l in range(1, n_layers + 1)]
-            )
+            dist_rows.append(dist_row)
         ticks = i + 1
 
         if tracker.update(t, ebar) and stop_at is None:
@@ -356,7 +360,9 @@ def run_trial(
 
     if not dist_t or dist_t[-1] != cols["t"][ticks - 1]:
         dist_t.append(cols["t"][ticks - 1] if ticks else 0.0)
-        dist_rows.append([net.euclidean_distance(l) for l in range(1, n_layers + 1)])
+        if dist_row is None:
+            dist_row = [net.euclidean_distance(l) for l in layers]
+        dist_rows.append(dist_row)
 
     return TrialRecord(
         t=cols["t"][:ticks].copy(),

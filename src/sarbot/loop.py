@@ -21,8 +21,10 @@ class LdrReadout:
     """Six ground-sensor values: ``g`` for the left triple, ``g_star`` for
     their mirrored right counterparts, innermost first.
 
-    Not checked here: ``simenv.sample_ldr`` derives them from a canvas that
-    ``make_track`` or ``read_pgm`` checked."""
+    Not checked here: they are derived from a canvas that ``make_track`` or
+    ``read_pgm`` checked, in the trial loop by ``simenv.sample_camera`` (in
+    the same gather as the camera grid) and in the calibration probe by
+    ``simenv.sample_ldr``."""
 
     g: np.ndarray
     g_star: np.ndarray

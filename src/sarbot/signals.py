@@ -23,9 +23,10 @@ def difference_signals(grid) -> np.ndarray:
 
     Columns pair symmetrically about the grid's vertical midline, so a
     mirror-symmetric image maps to the zero matrix and mirroring the image
-    negates the result. The 8x12 grid is not checked here:
-    ``simenv.sample_camera`` always returns that shape, with values from a
-    canvas that ``make_track`` or ``read_pgm`` checked.
+    negates the result. The 8x12 grid is not checked here: it has the
+    shape of the grid that ``simenv.sample_camera`` returns beside the
+    ground-sensor readout, with values from a canvas that ``make_track`` or
+    ``read_pgm`` checked.
     """
     grid = np.asarray(grid, dtype=float)
     return grid[:, :HALF_COLS] - grid[:, : HALF_COLS - 1 : -1]

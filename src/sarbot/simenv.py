@@ -84,6 +84,12 @@ class SensorLayout:
     ``ldr_fov_radius``. The camera window is ``cam_width`` wide, spans
     ``cam_depth`` starting ``cam_ahead`` in front of the robot, and is split
     into 8 rows (row 0 nearest) by 12 columns (column 0 leftmost).
+
+    Every sample point of both sensors sits in one (2, N) array of
+    coordinate rows, forward then lateral: the camera's 8 * 12 cells of
+    ``cam_supersample`` ** 2 points each first (row-major, a cell's points
+    contiguous), then the ground sensors' 6 disks of 13 points each (L1 L2
+    L3 R1 R2 R3). ``_n_cam`` is the number of camera points.
     """
 
     # the innermost pair clears the 2 cm line by 2 cm, leaving a dead band the
@@ -96,8 +102,8 @@ class SensorLayout:
     cam_depth: float = 10.0
     cam_ahead: float = 5.0
     cam_supersample: int = 3
-    _ldr_pts: np.ndarray = field(init=False, repr=False)
-    _cam_pts: np.ndarray = field(init=False, repr=False)
+    _pts: np.ndarray = field(init=False, repr=False)
+    _n_cam: int = field(init=False, repr=False)
 
     def __post_init__(self):
         lat = [float(v) for v in self.ldr_lateral]
@@ -111,7 +117,7 @@ class SensorLayout:
         centers = np.array(
             [(self.ldr_forward, s * l) for s in (+1, -1) for l in lat]
         )  # order: L1 L2 L3 R1 R2 R3; (forward, lateral)
-        self._ldr_pts = centers[:, None, :] + disk[None, :, :]
+        ldr = centers[:, None, :] + disk[None, :, :]
 
         rows, cols, ss = 8, 12, self.cam_supersample
         cell_w = self.cam_width / cols
@@ -123,10 +129,13 @@ class SensorLayout:
             + sub[None, :] * cell_d
         )  # (rows, ss)
         lat_c = ((cols / 2 - np.arange(cols)[:, None] - 0.5) + sub[None, :]) * cell_w
-        # combine into (rows, cols, ss*ss, 2) robot-frame (forward, lateral)
+        # robot-frame forward and lateral offsets per (row, col, sub, sub)
         f = np.broadcast_to(fwd[:, None, :, None], (rows, cols, ss, ss))
         l = np.broadcast_to(lat_c[None, :, None, :], (rows, cols, ss, ss))
-        self._cam_pts = np.stack([f, l], axis=-1).reshape(rows, cols, ss * ss, 2)
+        self._n_cam = f.size
+        self._pts = np.concatenate(
+            [np.stack([f.ravel(), l.ravel()]), ldr.reshape(-1, 2).T], axis=1
+        )
 
 
 @dataclass
@@ -158,54 +167,80 @@ def load_canvas(path, scale: float, start=(0.0, 0.0, 0.0)) -> Canvas:
     )
 
 
+# offsets of the floor and the +1 corner, broadcast over (axis, point)
+_CORNER = np.array([0, 1])[:, None, None]
+
+
 def sample_points(canvas: Canvas, pts: np.ndarray) -> np.ndarray:
-    """Bilinear GSV lookup at world points (N, 2); raises when off-canvas."""
-    h, w = canvas.raster.shape
-    px = pts[..., 0] / canvas.scale - 0.5
-    py = pts[..., 1] / canvas.scale - 0.5
-    if (
-        px.min() < 0.0
-        or py.min() < 0.0
-        or px.max() > w - 1.0
-        or py.max() > h - 1.0
-    ):
-        raise OutOfBoundsError("sample point outside the canvas")
-    x0 = np.floor(px).astype(int)
-    y0 = np.floor(py).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = px - x0
-    fy = py - y0
+    """Bilinear GSV lookup at world points given as coordinate rows (2, N),
+    x then y; raises when any point is off-canvas.
+
+    One gather serves all N points: the four corners of every point are
+    read with a single ``take`` from the flattened raster. ``sample_camera``
+    calls it once per control tick for both sensors, ``sample_ldr`` for the
+    ground sensors alone.
+    """
     r = canvas.raster
-    top = r[y0, x0] * (1 - fx) + r[y0, x1] * fx
-    bot = r[y1, x0] * (1 - fx) + r[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+    h, w = r.shape
+    p = pts / canvas.scale - 0.5
+    if p.min() < 0.0 or p[0].max() > w - 1.0 or p[1].max() > h - 1.0:
+        raise OutOfBoundsError("sample point outside the canvas")
+    lo = np.floor(p)
+    # corners[k] = floor + k per axis; a point on the last pixel reads its
+    # clamped +1 corner with weight 0
+    corners = np.minimum(lo.astype(np.intp) + _CORNER, ((w - 1,), (h - 1,)))
+    x, y = corners[:, 0], corners[:, 1] * w
+    v = r.ravel().take(y[:, None] + x[None, :])  # v[a, b] = r[y_a, x_b]
+    f = p - lo
+    g = 1 - f
+    tb = v[:, 0] * g[0] + v[:, 1] * f[0]  # top and bottom rows
+    return tb[0] * g[1] + tb[1] * f[1]
 
 
 def _to_world(pose: RobotPose, pts: np.ndarray) -> np.ndarray:
-    """Robot-frame (forward, lateral) points to world coordinates."""
+    """Robot-frame (forward, lateral) coordinate rows (2, N) to world x, y
+    rows (2, N): x = (pose.x + f*c) - l*s, y = (pose.y + f*s) + l*c."""
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    x = pose.x + pts[..., 0] * c - pts[..., 1] * s
-    y = pose.y + pts[..., 0] * s + pts[..., 1] * c
-    return np.stack([x, y], axis=-1)
+    # y subtracts (-c) * l, which is exactly + c * l
+    m = np.array([[[pose.x], [pose.y]], [[c], [s]], [[s], [-c]]])
+    return (m[0] + m[1] * pts[0]) - m[2] * pts[1]
 
 
-def sample_ldr(canvas: Canvas, pose: RobotPose, layout: SensorLayout) -> LdrReadout:
-    """Read the six ground sensors.
-
-    Each G value is 255 minus the mean GSV over the sensor's field-of-view
-    disk, so a sensor over the dark path reads high and one over the white
-    background reads 0.
-    """
-    vals = sample_points(canvas, _to_world(pose, layout._ldr_pts))
-    g = 255.0 - vals.mean(axis=1)
+def _ldr_readout(vals: np.ndarray) -> LdrReadout:
+    # each G value is 255 minus the mean GSV over the sensor's disk
+    g = 255.0 - vals.reshape(6, -1).mean(axis=1)
     return LdrReadout(g=g[:3], g_star=g[3:])
 
 
-def sample_camera(canvas: Canvas, pose: RobotPose, layout: SensorLayout) -> np.ndarray:
-    """Mean GSV of the canvas under each of the 96 camera cells (8x12)."""
-    vals = sample_points(canvas, _to_world(pose, layout._cam_pts))
-    return vals.mean(axis=2)
+def sample_ldr(canvas: Canvas, pose: RobotPose, layout: SensorLayout) -> LdrReadout:
+    """Read the six ground sensors alone, from the layout's ground-sensor
+    columns.
+
+    Each G value is 255 minus the mean GSV over the sensor's field-of-view
+    disk, so a sensor over the dark path reads high and one over the white
+    background reads 0. Only the loop-gain calibration probe, which steers
+    by the ground sensors and has no camera, calls this; a trial's ticks
+    read both sensors through :func:`sample_camera`.
+    """
+    return _ldr_readout(
+        sample_points(canvas, _to_world(pose, layout._pts[:, layout._n_cam :]))
+    )
+
+
+def sample_camera(
+    canvas: Canvas, pose: RobotPose, layout: SensorLayout
+) -> tuple[np.ndarray, LdrReadout]:
+    """Read both sensors in one gather over all the layout's points.
+
+    Returns the mean GSV of the canvas under each of the 96 camera cells
+    (8x12 grid) and the ground-sensor readout that :func:`sample_ldr`
+    would give. ``exper.run_trial`` calls it once per control tick, and
+    nothing else does; an off-canvas point of either sensor raises
+    ``OutOfBoundsError``.
+    """
+    vals = sample_points(canvas, _to_world(pose, layout._pts))
+    n = layout._n_cam
+    return vals[:n].reshape(8, 12, -1).mean(axis=2), _ldr_readout(vals[n:])
 
 
 # ----------------------------------------------------------------------

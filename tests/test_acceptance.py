@@ -315,12 +315,14 @@ def test_criterion_08_pipeline_antisymmetry_on_mirrored_world():
     pose_b = simenv.RobotPose(canvas.start[0], y0 - offset, -heading)
     worst = dict(e=0.0, c=0.0, p=0.0, mc=0.0)
     for _ in range(400):
-        ca = signals.difference_signals(simenv.sample_camera(canvas, pose_a, cfg.layout))
-        cb = signals.difference_signals(simenv.sample_camera(canvas, pose_b, cfg.layout))
+        grid_a, readout_a = simenv.sample_camera(canvas, pose_a, cfg.layout)
+        grid_b, readout_b = simenv.sample_camera(canvas, pose_b, cfg.layout)
+        ca = signals.difference_signals(grid_a)
+        cb = signals.difference_signals(grid_b)
         pa, pb = fa_a.step(ca), fa_b.step(cb)
         apa, apb = net_a.forward(pa), net_b.forward(pb)
-        ea = loop.control_error(simenv.sample_ldr(canvas, pose_a, cfg.layout), reflex)
-        eb = loop.control_error(simenv.sample_ldr(canvas, pose_b, cfg.layout), reflex)
+        ea = loop.control_error(readout_a, reflex)
+        eb = loop.control_error(readout_b, reflex)
         mca = loop.motor_command(loop.reflex_action(ea, reflex), apa)
         mcb = loop.motor_command(loop.reflex_action(eb, reflex), apb)
         worst["e"] = max(worst["e"], abs(ea + eb))

@@ -190,10 +190,12 @@ def test_trial_determinism_bitwise():
 def test_skipping_zero_kappa_updates_changes_no_bit(kind, monkeypatch):
     cfg = quick_cfg(rule=UpdateRule(kind, math.e**-1), max_duration=40.0, seed=3)
     gated = run_trial(cfg, loop_gain=5e-6)
+    rows = []  # every layer's distance after every tick
 
     def unconditional(self, rule, e, kappa):
         for w, d in zip(self.weights, self.compute_update(rule, e, kappa)):
             w += d
+        rows.append([self.euclidean_distance(l) for l in range(1, self.n_layers + 1)])
 
     monkeypatch.setattr(netcore.Network, "apply_update", unconditional)
     full = run_trial(cfg, loop_gain=5e-6)
@@ -206,6 +208,34 @@ def test_skipping_zero_kappa_updates_changes_no_bit(kind, monkeypatch):
             assert a.tobytes() == b.tobytes(), f.name
     for wa, wb in zip(gated.network.weights, full.network.weights, strict=True):
         assert wa.tobytes() == wb.tobytes()
+    # the snapshots, which skip the recomputation after kappa = 0 ticks,
+    # equal the distances recomputed on every tick: one every
+    # distance_interval and one on the last tick
+    ticks = len(gated.t)
+    snaps = list(range(0, ticks, round(cfg.run.distance_interval / cfg.sim.dt)))
+    snaps += [ticks - 1] if snaps[-1] != ticks - 1 else []
+    assert gated.distance_t.tobytes() == gated.t[snaps].tobytes()
+    assert gated.distances.tobytes() == np.array([rows[i] for i in snaps]).tobytes()
+
+
+def test_sensors_are_read_by_one_call_per_tick(monkeypatch):
+    # the benchmark's tick clock counts simenv.sample_camera calls as ticks:
+    # the trial loop must make exactly one per tick and read the ground
+    # sensors through it, and the calibration probe must not call it
+    calls = dict.fromkeys(("sample_camera", "sample_ldr"), 0)
+    for name in calls:
+        def counted(*args, _orig=getattr(simenv, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(simenv, name, counted)
+    rec = run_trial(quick_cfg(rule=UpdateRule("sar", math.e**-1), max_duration=10.0),
+                    loop_gain=5e-6)
+    assert not rec.aborted
+    assert calls == {"sample_camera": len(rec.t), "sample_ldr": 0}
+    calls.update(sample_camera=0, sample_ldr=0)
+    exper.calibrate(quick_cfg(rule=None))
+    assert calls["sample_camera"] == 0 and calls["sample_ldr"] > 0
 
 
 def test_lost_line_aborts_cleanly():

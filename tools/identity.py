@@ -1,0 +1,136 @@
+"""Check that a revision and the working tree write byte-identical artifacts.
+
+    python3 tools/identity.py REV
+
+Unpacks REV with ``git archive`` into a temporary directory, runs one fixed
+list of ``sarbot trial`` and ``sarbot batch`` commands with the ``src/`` of
+that copy and with the ``src/`` of the working tree, and compares every file
+each command wrote, byte for byte, together with its exit code and its
+printed summary. Prints one line per command and exits 0 when every
+artifact is identical, 1 when any differs, and 2 when REV cannot be
+unpacked. Run it from anywhere inside the repository; it writes only to the
+temporary directory, which it deletes.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import io
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import yaml
+
+TREE = Path(__file__).resolve().parents[1]
+ETA = math.e**-1
+
+# name -> (sarbot command, config overrides)
+CASES = {
+    # the byte-identical rerun config of acceptance criterion 10
+    "criterion-10": ("trial", {
+        "rule": {"kind": "sar", "eta": ETA},
+        "loop": {"loop_gain": 5.0e-6},
+        "trial": {"max_duration": 40.0, "seed": 3},
+    }),
+    **{
+        f"{rule}-seed{seed}": ("trial", {
+            "rule": {"kind": rule, "eta": ETA},
+            "trial": {"max_duration": 150.0, "seed": seed},
+        })
+        for rule in ("gdm", "localprop", "sar")
+        for seed in (1, 2)
+    },
+    "reflex-only": ("trial", {
+        "rule": {"kind": "none"},
+        "trial": {"max_duration": 60.0, "seed": 2},
+    }),
+    "batch": ("batch", {
+        "trial": {"max_duration": 60.0},
+        "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
+                  "seeds": 2, "jobs": 1},
+    }),
+}
+
+
+def unpack(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=TREE,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, list[str]]:
+    """Run one sarbot command with ``tree``'s sources; return its exit code
+    and its printed lines, less the one naming the run directory."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarbot.cli", command, "--config", str(config),
+         "--out", str(out)],
+        cwd=out.parent, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True,
+    )
+    lines = [l for l in proc.stdout.splitlines() if not l.startswith("artifacts:")]
+    return proc.returncode, lines + proc.stderr.splitlines()
+
+
+def files(out: Path) -> dict[str, Path]:
+    """Every file under the command's one run directory, by relative path;
+    the run directory's own name holds a time stamp and is left out."""
+    run_dirs = list(out.iterdir()) if out.is_dir() else []
+    if len(run_dirs) != 1:
+        return {}
+    return {str(p.relative_to(run_dirs[0])): p
+            for p in sorted(run_dirs[0].rglob("*")) if p.is_file()}
+
+
+def compare(a: tuple, b: tuple, fa: dict, fb: dict) -> list[str]:
+    faults = []
+    if a != b:
+        faults.append(f"exit code or output differs: {a} vs {b}")
+    if not fa:
+        faults.append("wrote no run directory")
+    if fa.keys() != fb.keys():
+        faults.append(f"file sets differ: {sorted(fa.keys() ^ fb.keys())}")
+    faults += [f"{rel} differs" for rel in sorted(fa.keys() & fb.keys())
+               if not filecmp.cmp(fa[rel], fb[rel], shallow=False)]
+    return faults
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="sarbot-identity-") as tmp:
+        tmp = Path(tmp)
+        try:
+            unpack(rev, tmp / "rev")
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot unpack {rev}: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        differs = 0
+        for name, (command, overrides) in CASES.items():
+            config = tmp / f"{name}.yaml"
+            config.write_text(yaml.safe_dump(overrides))
+            sides = []
+            for side, tree in (("rev", tmp / "rev"), ("tree", TREE)):
+                out = tmp / "out" / side / name
+                out.parent.mkdir(parents=True, exist_ok=True)
+                sides.append((run(tree, command, config, out), files(out)))
+            (a, fa), (b, fb) = sides
+            faults = compare(a, b, fa, fb)
+            differs += bool(faults)
+            status = "DIFFERS" if faults else "identical"
+            print(f"{name:<16} {status:<9} {len(fa)} files, exit {a[0]}", flush=True)
+            for fault in faults:
+                print(f"    {fault}")
+    print(f"{len(CASES) - differs}/{len(CASES)} commands byte-identical to {rev}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
