@@ -2,8 +2,9 @@
 and track previews.
 
 Exit codes: 0 success (trial reached the success state), 2 no success,
-3 aborted (robot left the canvas), 4 configuration error, 1 calibration
-failure.
+3 aborted (a sensor left the canvas or the line left the camera's view),
+4 configuration error, 1 calibration failure. Run directories go under
+--out, else $SARBOT_OUT_ROOT, else the config's output.dir.
 """
 
 from __future__ import annotations
@@ -92,13 +93,8 @@ def _make_run_dir(root: Path, digest: str) -> Path:
     return candidate
 
 
-def _out_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUT_ROOT_ENV)
-    if env:
-        return Path(env)
-    return Path("runs")
+def _out_root(args, cfg: dict) -> Path:
+    return Path(args.out or os.environ.get(OUT_ROOT_ENV) or cfg["output"]["dir"])
 
 
 def _load(args) -> dict:
@@ -128,7 +124,7 @@ def cmd_trial(args) -> int:
     cfg = _load(args)
     record = exper.run_trial(configlib.to_trial_config(cfg))
     digest = configlib.config_hash(cfg)
-    run_dir = _make_run_dir(_out_root(args), digest)
+    run_dir = _make_run_dir(_out_root(args, cfg), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
     if cfg["output"]["trace"]:
         exper.write_trial_artifacts(record, run_dir, digest)
@@ -159,7 +155,7 @@ def cmd_batch(args) -> int:
         lam = exper.calibrate(trial_cfg).loop_gain
         trial_cfg = replace(trial_cfg, reflex=replace(trial_cfg.reflex, loop_gain=lam))
     digest = configlib.config_hash(cfg)
-    run_dir = _make_run_dir(_out_root(args), digest)
+    run_dir = _make_run_dir(_out_root(args, cfg), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
     result = exper.run_batch(
         trial_cfg,
@@ -210,7 +206,7 @@ def cmd_track_preview(args) -> int:
         target = Path(args.file)
         target.parent.mkdir(parents=True, exist_ok=True)
     else:
-        run_dir = _make_run_dir(_out_root(args), configlib.config_hash(cfg))
+        run_dir = _make_run_dir(_out_root(args, cfg), configlib.config_hash(cfg))
         target = run_dir / "track.pgm"
     canvas.save_pgm(target)
     h, w = canvas.raster.shape

@@ -1,5 +1,5 @@
-"""Trial orchestration: closed-loop runs, success metrics, loop-gain
-calibration, seeded batches, and artifact writers."""
+"""Trial orchestration: closed-loop trials and the loop-gain calibration probe,
+which share one reflex step; success metrics, seeded batches, artifact writers."""
 
 from __future__ import annotations
 
@@ -56,6 +56,9 @@ class SimParams:
         if self.dt <= 0 or self.v0 <= 0 or self.wheel_base <= 0:
             raise ConfigError("dt, v0 and wheel_base must be positive")
 
+    def start_pose(self, canvas: simenv.Canvas) -> simenv.RobotPose:
+        return simenv.RobotPose(*canvas.start, wheel_base=self.wheel_base, v0=self.v0)
+
 
 @dataclass
 class NetParams:
@@ -83,6 +86,9 @@ class NetParams:
 
 @dataclass
 class RunParams:
+    """When a trial stops and succeeds. The calibration probe runs the same
+    reflex step, but for a fixed PROBE_SETTLE + PROBE_MEASURE seconds."""
+
     max_duration: float = 2400.0
     threshold: float = 0.1  # GSV, on the moving average
     window: float = 25.0  # seconds of trailing average
@@ -93,7 +99,7 @@ class RunParams:
 
     def __post_init__(self):
         # a trial shorter than its warm-up is valid: it just cannot succeed,
-        # so it is censored; max_duration > 0 guarantees at least one tick
+        # so it is censored; it runs at least one tick however short
         if self.threshold <= 0 or self.window <= 0:
             raise ConfigError("threshold and window must be positive")
         if not (self.max_duration > 0 and self.warmup >= 0):
@@ -250,53 +256,60 @@ def _resolve_loop_gain(cfg: TrialConfig) -> tuple[float, float | None]:
     return result.loop_gain, result.plant_gain
 
 
+def _reflex_step(readout, a_p, reflex, pose, sim):
+    """One tick of the fixed reflex, E -> A_R -> MC -> saturation -> motion,
+    under the predictive action ``a_p``; the trial loop and the calibration
+    probe both run it. Returns (e, a_r, mc, clipped, next_pose)."""
+    e = looplib.control_error(readout, reflex)
+    a_r = looplib.reflex_action(e, reflex)
+    mc = looplib.motor_command(a_r, a_p)
+    actuated, clipped = looplib.saturate(mc, reflex.mc_limit)
+    return e, a_r, mc, clipped, simenv.step(pose, actuated, sim.dt, sim.integrator)
+
+
+# the TrialRecord columns, in the order of a row of run_trial's tick log
+_TICK_COLUMNS = ("t", "e", "ebar", "a_r", "a_p", "mc", "kappa", "pose_x", "pose_y",
+                 "pose_theta")
+
+
 def run_trial(
     cfg: TrialConfig,
     canvas: simenv.Canvas | None = None,
     loop_gain: float | None = None,
 ) -> TrialRecord:
-    """Run one closed-loop trial: sense, predict, err, reflex, learn, act."""
+    """Run one closed-loop trial: sense, predict, err, reflex, learn, act.
+    The reflex is the calibration probe's :func:`_reflex_step` under the
+    network's A_P; either abort reason ends the trial before its tick is logged."""
     if canvas is None:
         canvas = cfg.track.build()
-    plant_gain = None
+    events = []
     if loop_gain is None:
         loop_gain, plant_gain = _resolve_loop_gain(cfg)
+        if plant_gain is not None:
+            events.append({"kind": "calibration", "t": 0.0, "loop_gain": loop_gain,
+                           "plant_gain": plant_gain})
     reflex = replace(cfg.reflex, loop_gain=loop_gain)
 
     net = cfg.net.build(cfg.seed)
     fa = signals.FilterArray(cfg.filter_taps)
-    pose = simenv.RobotPose(
-        *canvas.start, wheel_base=cfg.sim.wheel_base, v0=cfg.sim.v0
-    )
+    pose = cfg.sim.start_pose(canvas)
     dt = cfg.sim.dt
-    n_max = int(round(cfg.run.max_duration / dt))
+    n_max = max(1, int(round(cfg.run.max_duration / dt)))
     trailing = TrailingMean(max(1, int(round(cfg.run.window / dt))))
     dist_every = max(1, int(round(cfg.run.distance_interval / dt)))
     layers = range(1, net.n_layers + 1)
 
-    cols = {
-        name: np.zeros(n_max)
-        for name in ("t", "e", "ebar", "a_r", "a_p", "mc", "kappa", "x", "y", "th")
-    }
-    abs_e = np.zeros(n_max)
+    log = np.empty((n_max, len(_TICK_COLUMNS)))
     dist_t, dist_rows = [], []
     # the distances at the last snapshot, reused until an update runs: a
     # kappa = 0 tick leaves every weight as it was
     dist_row = None
-    events = []
     tracker = SuccessTracker(cfg.run.threshold, cfg.run.warmup, cfg.run.window)
-    aborted = False
     abort_reason = None
     saturated_ticks = 0
     sat_active = False
     stop_at = None
     ticks = 0
-
-    if plant_gain is not None:
-        events.append(
-            {"kind": "calibration", "t": 0.0, "loop_gain": loop_gain,
-             "plant_gain": plant_gain}
-        )
 
     # the line counts as "in view" while any camera cell is darker than this
     seen_threshold = (cfg.track.path_value + cfg.track.bg_value) / 2.0
@@ -308,22 +321,15 @@ def run_trial(
         try:
             grid, readout = simenv.sample_camera(canvas, pose, cfg.layout)
         except OutOfBoundsError as exc:
-            aborted = True
             abort_reason = str(exc)
-            events.append({"kind": "abort", "t": t, "reason": abort_reason})
             break
         lost_ticks = 0 if grid.min() < seen_threshold else lost_ticks + 1
         if lost_ticks > lost_limit:
-            aborted = True
             abort_reason = "line lost from camera view"
-            events.append({"kind": "abort", "t": t, "reason": abort_reason})
             break
         p = fa.step(signals.difference_signals(grid))
         a_p = net.forward(p)
-        e = looplib.control_error(readout, reflex)
-        a_r = looplib.reflex_action(e, reflex)
-        mc = looplib.motor_command(a_r, a_p)
-        actuated, clipped = looplib.saturate(mc, reflex.mc_limit)
+        e, a_r, mc, clipped, moved = _reflex_step(readout, a_p, reflex, pose, cfg.sim)
         if clipped:
             saturated_ticks += 1
             if not sat_active:
@@ -336,14 +342,8 @@ def run_trial(
             if kappa != 0.0:
                 dist_row = None
 
-        abs_e[i] = abs(e)
         ebar = trailing.push(abs(e))
-        for name, val in (
-            ("t", t), ("e", e), ("ebar", ebar), ("a_r", a_r), ("a_p", a_p),
-            ("mc", mc), ("kappa", kappa), ("x", pose.x), ("y", pose.y),
-            ("th", pose.theta),
-        ):
-            cols[name][i] = val
+        log[i] = (t, e, ebar, a_r, a_p, mc, kappa, pose.x, pose.y, pose.theta)
         if i % dist_every == 0:
             if dist_row is None:
                 dist_row = [net.euclidean_distance(l) for l in layers]
@@ -356,32 +356,27 @@ def run_trial(
             stop_at = t + cfg.run.grace
         if stop_at is not None and t >= stop_at:
             break
-        pose = simenv.step(pose, actuated, dt, cfg.sim.integrator)
+        pose = moved
 
-    if not dist_t or dist_t[-1] != cols["t"][ticks - 1]:
-        dist_t.append(cols["t"][ticks - 1] if ticks else 0.0)
+    if abort_reason is not None:
+        events.append({"kind": "abort", "t": t, "reason": abort_reason})
+    last_t = max(ticks - 1, 0) * dt
+    if not dist_t or dist_t[-1] != last_t:
+        dist_t.append(last_t)
         if dist_row is None:
             dist_row = [net.euclidean_distance(l) for l in layers]
         dist_rows.append(dist_row)
 
+    columns = dict(zip(_TICK_COLUMNS, log[:ticks].T.copy()))
     return TrialRecord(
-        t=cols["t"][:ticks].copy(),
-        e=cols["e"][:ticks].copy(),
-        ebar=cols["ebar"][:ticks].copy(),
-        a_r=cols["a_r"][:ticks].copy(),
-        a_p=cols["a_p"][:ticks].copy(),
-        mc=cols["mc"][:ticks].copy(),
-        kappa=cols["kappa"][:ticks].copy(),
-        pose_x=cols["x"][:ticks].copy(),
-        pose_y=cols["y"][:ticks].copy(),
-        pose_theta=cols["th"][:ticks].copy(),
+        **columns,
         distance_t=np.array(dist_t),
         distances=np.array(dist_rows),
         success_time=tracker.confirmed,
         succeeded=tracker.confirmed is not None,
-        aborted=aborted,
+        aborted=abort_reason is not None,
         abort_reason=abort_reason,
-        error_integral=float(np.sum(abs_e[:ticks]) * dt),
+        error_integral=float(np.sum(np.abs(columns["e"])) * dt),
         duration=ticks * dt,
         seed=cfg.seed,
         rule_kind=cfg.rule.kind if cfg.rule else "none",
@@ -398,6 +393,10 @@ def run_trial(
 # ----------------------------------------------------------------------
 
 
+PROBE_AMPLITUDE = 0.2  # the probe holds A_P at + and - this
+PROBE_SETTLE = 3.0  # seconds the reflex settles before E is averaged
+PROBE_MEASURE = 4.0  # seconds over which E is averaged
+
 # smallest probe response |e_plus - e_minus| that calibration accepts: one
 # gray level, the quantum of the 8-bit canvas and its PGM files. A weaker
 # response cannot be told apart from the track's own quantization.
@@ -409,61 +408,43 @@ class CalibrationResult:
     plant_gain: float  # measured dE/dA_P
     loop_gain: float  # suggested signed constant for kappa
     magnitude_source: str  # "config" or "measured"
-    probe_amplitude: float
-    settle: float
-    measure: float
 
 
-def _probe_mean_error(cfg: TrialConfig, canvas, a_p: float, settle: float,
-                      measure: float) -> float:
-    reflex = replace(cfg.reflex, loop_gain=0.0)
-    pose = simenv.RobotPose(
-        *canvas.start, wheel_base=cfg.sim.wheel_base, v0=cfg.sim.v0
-    )
-    dt = cfg.sim.dt
-    total = int(round((settle + measure) / dt))
-    first = int(round(settle / dt))
-    acc = 0.0
-    count = 0
+def _probe_mean_error(cfg: TrialConfig, canvas, a_p: float) -> float:
+    pose = cfg.sim.start_pose(canvas)
+    first = int(round(PROBE_SETTLE / cfg.sim.dt))
+    total = int(round((PROBE_SETTLE + PROBE_MEASURE) / cfg.sim.dt))
+    acc = 0.0  # summed in tick order: sum() or np.mean would change the bits
     for i in range(total):
         readout = simenv.sample_ldr(canvas, pose, cfg.layout)
-        e = looplib.control_error(readout, reflex)
-        mc = looplib.motor_command(looplib.reflex_action(e, reflex), a_p)
-        actuated, _ = looplib.saturate(mc, reflex.mc_limit)
+        e, _, _, _, pose = _reflex_step(readout, a_p, cfg.reflex, pose, cfg.sim)
         if i >= first:
             acc += e
-            count += 1
-        pose = simenv.step(pose, actuated, dt, cfg.sim.integrator)
-    return acc / count
+    return acc / (total - first)
 
 
-def calibrate(
-    cfg: TrialConfig,
-    probe_amplitude: float = 0.2,
-    settle: float = 3.0,
-    measure: float = 4.0,
-    use_measured_magnitude: bool = False,
-) -> CalibrationResult:
+def calibrate(cfg: TrialConfig,
+              use_measured_magnitude: bool = False) -> CalibrationResult:
     """Measure dE/dA_P on a straight segment and derive the loop gain.
 
-    Two reflex-only passes hold the predictive action at +/- the probe
-    amplitude; the central difference of the mean settled error gives the
-    plant sensitivity. The suggested loop gain takes the opposite sign (so
-    updates descend E^2) and, by default, the configured magnitude.
+    Two probe runs drive the trial's reflex step from the start pose, reading
+    the ground sensors alone and holding the predictive action at
+    +/- ``PROBE_AMPLITUDE``; the central difference of the mean settled error
+    gives the plant sensitivity. The suggested loop gain takes the opposite
+    sign (so updates descend E^2) and, by default, the configured magnitude.
 
     Raises CalibrationError when the probe leaves the canvas or when the
     response |e_plus - e_minus| falls below ``MIN_PROBE_RESPONSE`` (1 GSV),
     since then not even the sign of dE/dA_P can be trusted.
     """
-    horizon = settle + measure
-    length = cfg.sim.v0 * horizon * 1.5 + 20.0
+    length = cfg.sim.v0 * (PROBE_SETTLE + PROBE_MEASURE) * 1.5 + 20.0
     canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
     try:
-        e_plus = _probe_mean_error(cfg, canvas, +probe_amplitude, settle, measure)
-        e_minus = _probe_mean_error(cfg, canvas, -probe_amplitude, settle, measure)
+        e_plus = _probe_mean_error(cfg, canvas, +PROBE_AMPLITUDE)
+        e_minus = _probe_mean_error(cfg, canvas, -PROBE_AMPLITUDE)
     except OutOfBoundsError as exc:
         raise CalibrationError(f"probe left the canvas: {exc}") from exc
-    plant_gain = looplib.estimate_loop_gain(e_plus, e_minus, probe_amplitude)
+    plant_gain = looplib.estimate_loop_gain(e_plus, e_minus, PROBE_AMPLITUDE)
     response = abs(e_plus - e_minus)
     if not (np.isfinite(plant_gain) and response >= MIN_PROBE_RESPONSE):
         raise CalibrationError(
@@ -481,9 +462,6 @@ def calibrate(
         plant_gain=plant_gain,
         loop_gain=lam,
         magnitude_source="measured" if use_measured_magnitude else "config",
-        probe_amplitude=probe_amplitude,
-        settle=settle,
-        measure=measure,
     )
 
 

@@ -283,6 +283,22 @@ def test_cli_out_root_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "envroot").is_dir()
 
 
+def test_cli_out_root_falls_back_to_output_dir(tmp_path, monkeypatch):
+    # --out > SARBOT_OUT_ROOT > output.dir, whose default is "runs"
+    monkeypatch.delenv(cli.OUT_ROOT_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({**yaml.safe_load(fast_config(tmp_path).read_text()),
+                                 "output": {"dir": str(tmp_path / "cfgroot")}}))
+    assert cli.main(["trial", "--config", str(p)]) == cli.EXIT_NO_SUCCESS
+    assert len(list((tmp_path / "cfgroot").iterdir())) == 1
+    assert not (tmp_path / "runs").exists()
+    monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "envroot"))
+    assert cli.main(["trial", "--config", str(p)]) == cli.EXIT_NO_SUCCESS
+    assert (tmp_path / "envroot").is_dir()
+    assert len(list((tmp_path / "cfgroot").iterdir())) == 1
+
+
 def test_record_json_is_regenerable_from_config_and_seed(tmp_path):
     cfg = fast_config(tmp_path)
     a, b = tmp_path / "ra", tmp_path / "rb"

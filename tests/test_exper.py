@@ -238,15 +238,54 @@ def test_sensors_are_read_by_one_call_per_tick(monkeypatch):
     assert calls["sample_camera"] == 0 and calls["sample_ldr"] > 0
 
 
-def test_lost_line_aborts_cleanly():
-    # a short dead-end track: the robot drives off the straight segment's end
-    track = TrackSpec(kind="straight", params={"length": 30.0}, margin=40.0)
-    cfg = replace(quick_cfg(rule=None, max_duration=120.0), track=track)
+@pytest.mark.parametrize("margin, reason, t_abort", [
+    (10.0, "sample point outside the canvas", 4.05),
+    (40.0, "line lost from camera view", 9.0),
+], ids=["off-canvas", "line-lost"])
+def test_each_abort_reason_ends_the_trial_once(margin, reason, t_abort):
+    # a short dead-end track: the robot drives off the straight segment's
+    # end, and the margin decides whether the camera first leaves the canvas
+    # or first loses the line
+    track = TrackSpec(kind="straight", params={"length": 30.0}, margin=margin)
+    cfg = replace(quick_cfg(rule=None, max_duration=60.0), track=track)
     rec = run_trial(cfg, loop_gain=5e-6)
-    assert rec.aborted
-    assert not rec.succeeded
-    assert rec.abort_reason is not None
-    assert any(ev["kind"] == "abort" for ev in rec.events)
+    assert rec.aborted and not rec.succeeded
+    assert rec.abort_reason == reason
+    assert rec.duration == pytest.approx(t_abort)
+    aborts = [ev for ev in rec.events if ev["kind"] == "abort"]
+    assert aborts == [{"kind": "abort", "t": rec.duration, "reason": reason}]
+    # the tick the trial aborted on has no row
+    assert rec.t.size == round(rec.duration / cfg.sim.dt)
+    assert rec.t[-1] < rec.duration
+
+
+def test_trial_shorter_than_a_tick_records_one_tick():
+    rec = run_trial(quick_cfg(max_duration=0.02), loop_gain=5e-6)
+    assert rec.t.tolist() == [0.0]
+    assert rec.distance_t.tolist() == [0.0]
+    assert rec.duration == 0.05
+
+
+def test_poses_chain_through_the_saturated_step():
+    # every recorded pose is the previous one stepped under the actuated
+    # (clipped) MC, bit for bit; a lowered limit makes most ticks clip
+    cfg = quick_cfg(rule=UpdateRule("sar", math.e**-1), max_duration=30.0)
+    cfg = replace(cfg, reflex=replace(cfg.reflex, mc_limit=3.0))
+    rec = run_trial(cfg, loop_gain=5e-6)
+    assert not rec.aborted and rec.saturated_ticks > 0
+    for name in ("t", "e", "ebar", "a_r", "a_p", "mc", "kappa", "pose_x", "pose_y",
+                 "pose_theta"):
+        col = getattr(rec, name)
+        assert col.dtype == np.float64 and col.flags.c_contiguous, name
+        assert col.shape == rec.t.shape
+    poses = list(zip(rec.pose_x.tolist(), rec.pose_y.tolist(), rec.pose_theta.tolist()))
+    pose = cfg.sim.start_pose(cfg.track.build())
+    assert poses[0] == (pose.x, pose.y, pose.theta)
+    for (x, y, theta), mc, recorded in zip(poses, rec.mc.tolist(), poses[1:]):
+        actuated = min(max(mc, -3.0), 3.0)
+        pose = simenv.step(replace(pose, x=x, y=y, theta=theta), actuated,
+                           cfg.sim.dt, cfg.sim.integrator)
+        assert (pose.x, pose.y, pose.theta) == recorded
 
 
 # ----------------------------------------------------------------------

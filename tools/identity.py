@@ -49,6 +49,17 @@ CASES = {
         "rule": {"kind": "none"},
         "trial": {"max_duration": 60.0, "seed": 2},
     }),
+    # a 30 cm dead end: with a 10 cm margin the camera leaves the canvas
+    # (at 4.05 s), with a 40 cm margin it loses the line first (at 9.0 s)
+    **{
+        f"abort-margin{margin:g}": ("trial", {
+            "rule": {"kind": "none"},
+            "loop": {"loop_gain": 5.0e-6},
+            "track": {"kind": "straight", "params": {"length": 30.0}, "margin": margin},
+            "trial": {"max_duration": 60.0},
+        })
+        for margin in (10.0, 40.0)
+    },
     "batch": ("batch", {
         "trial": {"max_duration": 60.0},
         "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
