@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -272,12 +273,33 @@ def _arc_dist(px, py, cx, cy, r, a0, a1):
     return np.where(inside, radial, np.minimum(e0, e1))
 
 
-def _grid(width_cm, height_cm, scale):
-    w = int(math.ceil(width_cm / scale))
-    h = int(math.ceil(height_cm / scale))
-    xs = (np.arange(w) + 0.5) * scale
-    ys = (np.arange(h) + 0.5) * scale
-    return np.meshgrid(xs, ys)
+def _canvas_shape(width_cm, height_cm, scale):
+    """Shape (h, w) of a canvas covering the given extent."""
+    return int(math.ceil(height_cm / scale)), int(math.ceil(width_cm / scale))
+
+
+def _near(seeds, reach, scale, shape):
+    """Mask of the pixels whose centre may lie within ``reach`` of a seed.
+
+    Marks the pixel of every seed point (rows x, y in cm, on the canvas or
+    less than the dilation beyond its edge) and dilates that mask by
+    ``ceil(reach / scale) + 1`` pixels along each axis with shifted boolean
+    ORs. A pixel centre within ``reach`` of a seed is less than
+    ``reach / scale + 0.5`` pixels from the seed's pixel along either axis,
+    so the mask holds it with a pixel to spare.
+    """
+    h, w = shape
+    k = math.ceil(reach / scale) + 1
+    marks = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
+    ix, iy = np.floor(seeds.T / scale).astype(np.intp) + k
+    marks[iy, ix] = True
+    rows = np.zeros((h + 2 * k, w), dtype=bool)
+    for d in range(2 * k + 1):
+        rows |= marks[:, d : d + w]
+    near = np.zeros(shape, dtype=bool)
+    for d in range(2 * k + 1):
+        near |= rows[d : d + h]
+    return near
 
 
 def _band(dist, width, scale, path_value, bg_value):
@@ -299,50 +321,53 @@ def _seg_points(ax, ay, bx, by, spacing):
 
 
 def _catmull_rom(points: np.ndarray, samples_per_seg: int) -> np.ndarray:
+    """Closed Catmull-Rom loop through ``points``: ``samples_per_seg`` points
+    per segment, starting at each control point."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    out = []
-    ts = np.linspace(0.0, 1.0, samples_per_seg, endpoint=False)
-    for i in range(n):
-        p0, p1, p2, p3 = (pts[(i + k - 1) % n] for k in range(4))
-        for t in ts:
-            t2, t3 = t * t, t * t * t
-            out.append(
-                0.5
-                * (
-                    (2 * p1)
-                    + (-p0 + p2) * t
-                    + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
-                    + (-p0 + 3 * p1 - 3 * p2 + p3) * t3
-                )
-            )
-    return np.array(out)
+    # p0 .. p3 of every segment as (n, 1, 2), against t as (1, samples, 1)
+    p0, p1, p2, p3 = (pts[(np.arange(n) + k - 1) % n][:, None] for k in range(4))
+    t = np.linspace(0.0, 1.0, samples_per_seg, endpoint=False)[None, :, None]
+    t2, t3 = t * t, t * t * t
+    return (
+        0.5
+        * (
+            (2 * p1)
+            + (-p0 + p2) * t
+            + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
+            + (-p0 + 3 * p1 - 3 * p2 + p3) * t3
+        )
+    ).reshape(-1, 2)
+
+
+# Shewchuk's ccwerrboundA (1997): the float determinant of _orient has the
+# exact sign whenever its magnitude exceeds this times the sum of the
+# magnitudes of its two products (barring underflow)
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Sign of the turn a -> b -> c per row: +1 left, -1 right, 0 collinear."""
-    return np.sign(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
+    """Exact sign of the turn a -> b -> c per row: +1 left, -1 right, 0
+    collinear.
 
-
-def _self_intersects(poly: np.ndarray) -> bool:
-    """Closed-polyline self-intersection test on a decimated copy.
-
-    Segments are closed, so two segments that only touch (at a vertex, or
-    overlapping along a common line) count as intersecting. Every pair of
-    non-adjacent segments is tested at once.
+    The float determinant decides every row whose magnitude exceeds its
+    rounding-error bound; only the rows within the bound are evaluated
+    again in rational arithmetic.
     """
-    step_n = max(1, len(poly) // 400)
-    p = poly[::step_n]
-    n = len(p)
-    a = p
-    b = np.roll(p, -1, axis=0)
-    i, j = np.triu_indices(n, k=2)
-    keep = ~((i == 0) & (j == n - 1))  # first and last segments share p[0]
-    i, j = i[keep], j[keep]
-    ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = left - right
+    sign = np.sign(det)
+    for k in np.flatnonzero(np.abs(det) <= _ORIENT_BOUND * (np.abs(left) + np.abs(right))):
+        ax, ay, bx, by, cx, cy = map(Fraction, (*a[k], *b[k], *c[k]))
+        exact = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        sign[k] = (exact > 0) - (exact < 0)
+    return sign
+
+
+def _segments_meet(ai, bi, aj, bj) -> np.ndarray:
+    """Per row, whether the closed segments ai-bi and aj-bj share a point,
+    touching and collinear overlap included."""
     straddle = (_orient(ai, bi, aj) * _orient(ai, bi, bj) <= 0) & (
         _orient(aj, bj, ai) * _orient(aj, bj, bi) <= 0
     )
@@ -352,7 +377,25 @@ def _self_intersects(poly: np.ndarray) -> bool:
         & (np.minimum(aj, bj) <= np.maximum(ai, bi)),
         axis=1,
     )
-    return bool(np.any(straddle & boxes))
+    return straddle & boxes
+
+
+def _self_intersects(poly: np.ndarray) -> bool:
+    """Closed-polyline self-intersection test on a decimated copy.
+
+    Segments are closed, so two segments that only touch (at a vertex, or
+    overlapping along a common line) count as intersecting. Every pair of
+    non-adjacent segments is tested at once, with exact orientations.
+    """
+    step_n = max(1, len(poly) // 400)
+    p = poly[::step_n]
+    n = len(p)
+    a = p
+    b = np.roll(p, -1, axis=0)
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))  # first and last segments share p[0]
+    i, j = i[keep], j[keep]
+    return bool(np.any(_segments_meet(a[i], b[i], a[j], b[j])))
 
 
 def make_track(
@@ -375,6 +418,17 @@ def make_track(
       bottom-left), start mid-bottom heading +x.
     * ``spline``: {points, samples_per_segment} -- closed Catmull-Rom loop
       through the control points; rejects self-intersecting shapes.
+
+    Each kind's distance field is evaluated only on the pixels near the
+    line (see :func:`_near`), within a reach of ``width / 2 + scale`` of its
+    seed points. The spline's seeds are the dense point cloud its field
+    measures the distance to; the other kinds seed with their ``path``
+    polyline, whose points lie on the curve, and add half the polyline's
+    largest measured gap to the reach. Every other pixel gets an infinite
+    distance. The antialiased edge reaches background exactly at a distance
+    of ``width / 2 + scale / 2``, and ``_band`` clips every distance beyond
+    that to the same background value, so the raster is the one a field
+    over the whole canvas would give, byte for byte.
     """
     params = dict(params or {})
     if width <= 0 or scale <= 0 or margin <= 0:
@@ -386,8 +440,11 @@ def make_track(
         length = float(params.pop("length", 200.0))
         y0 = _snap(margin, scale)
         x0, x1 = margin, margin + length
-        xx, yy = _grid(length + 2 * margin, 2 * margin, scale)
-        dist = _seg_dist(xx, yy, x0, y0, x1, y0)
+        shape = _canvas_shape(length + 2 * margin, 2 * margin, scale)
+
+        def field(x, y):
+            return _seg_dist(x, y, x0, y0, x1, y0)
+
         start = (x0 + 5.0, y0, 0.0)
         path = _seg_points(x0, y0, x1, y0, scale)
     elif kind == "circle":
@@ -397,8 +454,11 @@ def make_track(
         cx = _snap(margin + r, scale)
         cy = _snap(margin + r, scale)
         side = 2 * (r + margin)
-        xx, yy = _grid(side, side, scale)
-        dist = np.abs(np.hypot(xx - cx, yy - cy) - r)
+        shape = _canvas_shape(side, side, scale)
+
+        def field(x, y):
+            return np.abs(np.hypot(x - cx, y - cy) - r)
+
         start = (cx, cy - r, 0.0)
         path = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
     elif kind == "rounded_rect":
@@ -412,19 +472,21 @@ def make_track(
         xl, xr = _snap(margin, scale), _snap(margin + rw, scale)
         yb, yt = _snap(margin, scale), _snap(margin + rh, scale)
         rbr, rtr, rtl, rbl = radii
-        xx, yy = _grid(rw + 2 * margin, rh + 2 * margin, scale)
+        shape = _canvas_shape(rw + 2 * margin, rh + 2 * margin, scale)
         pi = math.pi
-        fields = [
-            _seg_dist(xx, yy, xl + rbl, yb, xr - rbr, yb),  # bottom
-            _seg_dist(xx, yy, xr, yb + rbr, xr, yt - rtr),  # right
-            _seg_dist(xx, yy, xr - rtr, yt, xl + rtl, yt),  # top
-            _seg_dist(xx, yy, xl, yt - rtl, xl, yb + rbl),  # left
-            _arc_dist(xx, yy, xr - rbr, yb + rbr, rbr, -pi / 2, 0.0),
-            _arc_dist(xx, yy, xr - rtr, yt - rtr, rtr, 0.0, pi / 2),
-            _arc_dist(xx, yy, xl + rtl, yt - rtl, rtl, pi / 2, pi),
-            _arc_dist(xx, yy, xl + rbl, yb + rbl, rbl, pi, 1.5 * pi),
-        ]
-        dist = np.minimum.reduce(fields)
+
+        def field(x, y):
+            return np.minimum.reduce([
+                _seg_dist(x, y, xl + rbl, yb, xr - rbr, yb),  # bottom
+                _seg_dist(x, y, xr, yb + rbr, xr, yt - rtr),  # right
+                _seg_dist(x, y, xr - rtr, yt, xl + rtl, yt),  # top
+                _seg_dist(x, y, xl, yt - rtl, xl, yb + rbl),  # left
+                _arc_dist(x, y, xr - rbr, yb + rbr, rbr, -pi / 2, 0.0),
+                _arc_dist(x, y, xr - rtr, yt - rtr, rtr, 0.0, pi / 2),
+                _arc_dist(x, y, xl + rtl, yt - rtl, rtl, pi / 2, pi),
+                _arc_dist(x, y, xl + rbl, yb + rbl, rbl, pi, 1.5 * pi),
+            ])
+
         start = ((xl + rbl + xr - rbr) / 2.0, yb, 0.0)
         sp = scale
         path = np.concatenate(
@@ -449,7 +511,7 @@ def make_track(
             raise ConfigError("spline track self-intersects")
         poly = poly - poly.min(axis=0) + margin
         bbox = poly.max(axis=0) + margin
-        xx, yy = _grid(bbox[0], bbox[1], scale)
+        shape = _canvas_shape(bbox[0], bbox[1], scale)
         # dense resampling keeps the nearest-point distance within ~scale/4
         seg = np.diff(np.vstack([poly, poly[:1]]), axis=0)
         seglen = np.hypot(seg[:, 0], seg[:, 1])
@@ -460,9 +522,10 @@ def make_track(
             dense.append(poly[i] + t * seg[i])
         cloud = np.concatenate(dense)
         tree = cKDTree(cloud)
-        dist = tree.query(np.stack([xx.ravel(), yy.ravel()], axis=1))[0].reshape(
-            xx.shape
-        )
+
+        def field(x, y):
+            return tree.query(np.stack([x, y], axis=1))[0]
+
         tangent = poly[1] - poly[0]
         start = (poly[0][0], poly[0][1], math.atan2(tangent[1], tangent[0]))
         path = poly
@@ -471,6 +534,16 @@ def make_track(
 
     if params:
         raise ConfigError(f"unknown track params for {kind}: {sorted(params)}")
+    if kind == "spline":
+        near = _near(cloud, width / 2 + scale, scale, shape)
+    else:
+        # the field measures the distance to the curve itself, and each curve
+        # point lies within about half a gap of a path point
+        gap = np.hypot(*np.diff(path, axis=0).T).max()
+        near = _near(path, width / 2 + scale + gap / 2, scale, shape)
+    iy, ix = np.nonzero(near)
+    dist = np.full(shape, np.inf)
+    dist[iy, ix] = field((ix + 0.5) * scale, (iy + 0.5) * scale)
     raster = _band(dist, width, scale, path_value, bg_value)
     return Canvas(
         raster=raster,

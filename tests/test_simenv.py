@@ -1,19 +1,28 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from sarbot.errors import ConfigError, OutOfBoundsError
 from sarbot.loop import ReflexConfig, control_error, motor_command, reflex_action, saturate
 from sarbot.pgmio import read_pgm
+from sarbot import simenv
 from sarbot.signals import difference_signals
 from sarbot.simenv import (
     Canvas,
     RobotPose,
     SensorLayout,
+    _arc_dist,
+    _catmull_rom,
+    _orient,
+    _seg_dist,
+    _segments_meet,
+    _snap,
     _symmetric_disk,
     load_canvas,
     make_track,
@@ -150,6 +159,251 @@ def test_canvas_pgm_round_trip(tmp_path):
     loaded = load_canvas(path, canvas.scale, canvas.start)
     assert loaded.raster.shape == canvas.raster.shape
     assert np.abs(loaded.raster - canvas.raster).max() <= 0.5
+
+
+# Reference: the full-grid rasteriser, which evaluates each kind's distance
+# field on every pixel of the canvas.
+
+
+def _ref_full_grid_raster(kind, params, width, scale, margin, path_value, bg_value):
+    def grid(width_cm, height_cm):
+        xs = (np.arange(int(math.ceil(width_cm / scale))) + 0.5) * scale
+        ys = (np.arange(int(math.ceil(height_cm / scale))) + 0.5) * scale
+        return np.meshgrid(xs, ys)
+
+    if kind == "straight":
+        length = params["length"]
+        y0 = _snap(margin, scale)
+        xx, yy = grid(length + 2 * margin, 2 * margin)
+        dist = _seg_dist(xx, yy, margin, y0, margin + length, y0)
+    elif kind == "circle":
+        r = params["radius"]
+        cx = cy = _snap(margin + r, scale)
+        xx, yy = grid(2 * (r + margin), 2 * (r + margin))
+        dist = np.abs(np.hypot(xx - cx, yy - cy) - r)
+    elif kind == "rounded_rect":
+        rw, rh = params["rect_width"], params["rect_height"]
+        rbr, rtr, rtl, rbl = params["radii"]
+        xl, xr = _snap(margin, scale), _snap(margin + rw, scale)
+        yb, yt = _snap(margin, scale), _snap(margin + rh, scale)
+        xx, yy = grid(rw + 2 * margin, rh + 2 * margin)
+        pi = math.pi
+        dist = np.minimum.reduce([
+            _seg_dist(xx, yy, xl + rbl, yb, xr - rbr, yb),
+            _seg_dist(xx, yy, xr, yb + rbr, xr, yt - rtr),
+            _seg_dist(xx, yy, xr - rtr, yt, xl + rtl, yt),
+            _seg_dist(xx, yy, xl, yt - rtl, xl, yb + rbl),
+            _arc_dist(xx, yy, xr - rbr, yb + rbr, rbr, -pi / 2, 0.0),
+            _arc_dist(xx, yy, xr - rtr, yt - rtr, rtr, 0.0, pi / 2),
+            _arc_dist(xx, yy, xl + rtl, yt - rtl, rtl, pi / 2, pi),
+            _arc_dist(xx, yy, xl + rbl, yb + rbl, rbl, pi, 1.5 * pi),
+        ])
+    else:
+        poly = _catmull_rom(np.asarray(params["points"], dtype=float),
+                            params["samples_per_segment"])
+        poly = poly - poly.min(axis=0) + margin
+        bbox = poly.max(axis=0) + margin
+        xx, yy = grid(bbox[0], bbox[1])
+        seg = np.diff(np.vstack([poly, poly[:1]]), axis=0)
+        seglen = np.hypot(seg[:, 0], seg[:, 1])
+        dense = [poly]
+        for i in np.nonzero(seglen > scale / 4)[0]:
+            n = int(seglen[i] / (scale / 4)) + 1
+            t = np.linspace(0, 1, n, endpoint=False)[1:, None]
+            dense.append(poly[i] + t * seg[i])
+        dist = cKDTree(np.concatenate(dense)).query(
+            np.stack([xx.ravel(), yy.ravel()], axis=1))[0].reshape(xx.shape)
+    cover = np.clip((dist - (width / 2 - scale / 2)) / scale, 0.0, 1.0)
+    return path_value + (bg_value - path_value) * cover
+
+
+@st.composite
+def tracks(draw, kind):
+    """(kind, params, width, scale, margin, path_value, bg_value) of a small
+    canvas; rounded rectangles are often drawn with sides barely longer
+    than their corners, so that a side's polyline has few, wide gaps."""
+    scale = draw(st.floats(0.2, 1.0))
+    width = draw(st.floats(0.5, 4.0))
+    margin = draw(st.floats(0.05, 12.0))
+    path_value = draw(st.floats(0.0, 255.0))
+    bg_value = draw(st.floats(path_value, 255.99, exclude_min=True))
+    if kind == "straight":
+        params = {"length": draw(st.floats(0.1, 60.0))}
+    elif kind == "circle":
+        params = {"radius": width + draw(st.floats(0.01, 30.0))}
+    elif kind == "rounded_rect":
+        radii = [draw(st.floats(0.3, 10.0)) for _ in range(4)]
+        extra = st.one_of(st.floats(0.01, 3.0), st.floats(1.0, 40.0))
+        params = {"rect_width": 2 * max(radii) + draw(extra),
+                  "rect_height": 2 * max(radii) + draw(extra), "radii": radii}
+    else:
+        n = draw(st.integers(4, 8))
+        jitter = draw(st.lists(st.floats(0.0, 0.8), min_size=n, max_size=n))
+        ang = (np.arange(n) + jitter) * (2 * math.pi / n)
+        rad = np.array(draw(st.lists(st.floats(8.0, 30.0), min_size=n, max_size=n)))
+        params = {"points": np.stack([rad * np.cos(ang), rad * np.sin(ang)], 1).tolist(),
+                  "samples_per_segment": draw(st.integers(2, 40))}
+    return kind, params, width, scale, margin, path_value, bg_value
+
+
+def _assert_raster_equals_the_full_grid(track):
+    kind, params, width, scale, margin, path_value, bg_value = track
+    try:
+        canvas = make_track(kind, params, width=width, scale=scale, margin=margin,
+                            path_value=path_value, bg_value=bg_value)
+    except ConfigError:  # a self-intersecting spline
+        assume(False)
+    ref = _ref_full_grid_raster(kind, params, width, scale, margin, path_value, bg_value)
+    assert canvas.raster.shape == ref.shape
+    assert canvas.raster.tobytes() == ref.tobytes()
+    return canvas
+
+
+@pytest.mark.parametrize("kind", ["straight", "circle", "rounded_rect", "spline"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_limited_raster_equals_the_full_grid(kind, data):
+    canvas = _assert_raster_equals_the_full_grid(data.draw(tracks(kind)))
+    gap = np.hypot(*np.diff(canvas.path, axis=0).T).max() / canvas.scale
+    event(f"largest path gap {'above 1.5' if gap > 1.5 else 'within 1.5'} spacings")
+
+
+@pytest.mark.parametrize("track", [
+    ("straight", {"length": 0.375}, 2.0, 0.25, 5.0, 0.0, 255.0),
+    ("rounded_rect", {"rect_width": 2.5, "rect_height": 10.0,
+                      "radii": [1.0, 1.125, 1.175, 1.125]}, 1.0, 0.25, 5.0, 0.0, 255.0),
+], ids=["straight", "rounded_rect"])
+def test_band_covers_a_path_gap_of_one_and_a_half_spacings(track):
+    # a 0.375 cm straight, and a rounded rectangle whose snapped bottom side
+    # is 0.375 cm: 1.5 times the 0.25 cm spacing, drawn as two path points
+    canvas = _assert_raster_equals_the_full_grid(track)
+    assert np.hypot(*(canvas.path[1] - canvas.path[0])) == 0.375
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 2.0), st.floats(0.0, 5.0))
+def test_near_marks_every_pixel_within_its_dilation_of_a_seed(seed, scale, reach):
+    # brute force: a pixel is near when its row and column are both within
+    # ceil(reach / scale) + 1 of some seed's pixel
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 40, 2)
+    seeds = rng.uniform(0.0, 1.0, (rng.integers(1, 6), 2)) * (w * scale, h * scale)
+    k = math.ceil(reach / scale) + 1
+    rows, cols = np.mgrid[:h, :w]
+    ref = np.zeros((h, w), dtype=bool)
+    for ix, iy in np.floor(seeds / scale).astype(int):
+        ref |= (abs(rows - iy) <= k) & (abs(cols - ix) <= k)
+    assert (simenv._near(seeds, reach, scale, (h, w)) == ref).all()
+
+
+# Reference: the Catmull-Rom curve computed one sample at a time
+
+
+def _ref_catmull_rom(points, samples_per_seg):
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    out = []
+    ts = np.linspace(0.0, 1.0, samples_per_seg, endpoint=False)
+    for i in range(n):
+        p0, p1, p2, p3 = (pts[(i + k - 1) % n] for k in range(4))
+        for t in ts:
+            t2, t3 = t * t, t * t * t
+            out.append(0.5 * ((2 * p1) + (-p0 + p2) * t
+                              + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
+                              + (-p0 + 3 * p1 - 3 * p2 + p3) * t3))
+    return np.array(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 20), st.integers(1, 80))
+def test_catmull_rom_equals_the_loop(seed, n, samples):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-200.0, 200.0, (n, 2)) * 10.0 ** rng.integers(-3, 4)
+    assert _catmull_rom(points, samples).tobytes() == _ref_catmull_rom(points, samples).tobytes()
+
+
+# Reference: orientation and closed-segment contact in rational arithmetic
+
+
+def _ref_orient(a, b, c):
+    ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def _ref_segments_meet(ai, bi, aj, bj):
+    if _ref_orient(ai, bi, aj) * _ref_orient(ai, bi, bj) > 0:
+        return False
+    if _ref_orient(aj, bj, ai) * _ref_orient(aj, bj, bi) > 0:
+        return False
+    return all(min(ai[k], bi[k]) <= max(aj[k], bj[k])
+               and min(aj[k], bj[k]) <= max(ai[k], bi[k]) for k in (0, 1))
+
+
+@st.composite
+def segment_pairs(draw):
+    """Rows of segment pairs (ai, bi, aj, bj), each (n, 2): near-collinear,
+    touching at an end or an interior point, overlapping along one line, or
+    exactly collinear on integer points; points on a line are computed in
+    floats, then some are moved by a few ulps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 200
+    size = 10.0 ** rng.integers(-2, 5, (n, 1))
+    offset = rng.choice([0.0, 1.0, 1e4], (n, 1)) * size
+    ai = offset + rng.uniform(-1, 1, (n, 2)) * size
+    bi = offset + rng.uniform(-1, 1, (n, 2)) * size
+    d = bi - ai
+    s, t = rng.uniform(-0.5, 1.5, (2, n, 1))
+    on_line_s, on_line_t = ai + s * d, ai + t * d
+    how = rng.integers(0, 5, n)[:, None]
+    aj = np.select([how == 0, how == 1, how == 2, how == 3],
+                   [on_line_s, bi, ai + 0.5 * d, on_line_s], on_line_s)
+    bj = np.select([how == 0, how == 1, how == 2, how == 3],
+                   [on_line_t, offset + rng.uniform(-1, 1, (n, 2)) * size,
+                    ai + 0.5 * d + rng.uniform(-1, 1, (n, 2)) * size, on_line_t],
+                   on_line_t)
+    # how == 4: integer points on one line, so the determinants are exactly 0
+    k = rng.integers(-50, 50, (n, 4))
+    step_ = rng.integers(-9, 10, (n, 2))
+    base = rng.integers(-1000, 1000, (n, 2))
+    exact = [base + k[:, [m]] * step_ for m in range(4)]
+    ai, bi, aj, bj = (np.where(how == 4, e.astype(float), v)
+                      for e, v in zip(exact, (ai, bi, aj, bj)))
+    nudge = rng.integers(-3, 4, (n, 2)) * (rng.random((n, 2)) < 0.3)
+    bj = bj + np.where(bj == 0.0, 0.0, nudge * np.spacing(bj))  # no subnormals
+    return ai, bi, aj, bj
+
+
+@settings(max_examples=100, deadline=None)
+@given(segment_pairs())
+def test_orient_and_contact_agree_with_rational_arithmetic(pairs):
+    ai, bi, aj, bj = pairs
+    for a, b, c in ((ai, bi, aj), (ai, bi, bj), (aj, bj, ai), (aj, bj, bi)):
+        got = _orient(a, b, c)
+        ref = [_ref_orient(*row) for row in zip(a, b, c)]
+        assert got.tolist() == ref
+    got = _segments_meet(ai, bi, aj, bj)
+    assert got.tolist() == [_ref_segments_meet(*row) for row in zip(ai, bi, aj, bj)]
+
+
+def test_orient_goes_exact_only_within_the_float_bound(monkeypatch):
+    counted = []
+    monkeypatch.setattr(simenv, "Fraction", lambda v: counted.append(v) or Fraction(v))
+    # decided, exactly collinear, collinear up to rounding, decided
+    a = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.1], [0.1, 0.1]])
+    b = np.array([[1.0, 0.0], [3.0, 1.0], [0.7, 0.3], [0.7, 0.3]])
+    c = np.array([[0.0, 1.0], [6.0, 2.0], [0.0, 0.0], [0.1, 5.0]])
+    c[2] = a[2] + 2.0 * (b[2] - a[2])
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    within = np.abs(left - right) <= simenv._ORIENT_BOUND * (np.abs(left) + np.abs(right))
+    assert within.tolist() == [False, True, True, False]
+    assert _orient(a, b, c).tolist() == [_ref_orient(*r) for r in zip(a, b, c)]
+    assert len(counted) == 6 * 2  # rows 1 and 2 only, six coordinates each
+    counted.clear()
+    square = [[0.0, 0.0], [60.0, 0.0], [60.0, 60.0], [0.0, 60.0]]
+    make_track("spline", {"points": square})
+    assert counted == []  # the float bound decides every row of this track
 
 
 # ----------------------------------------------------------------------

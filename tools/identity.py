@@ -3,13 +3,13 @@
     python3 tools/identity.py REV
 
 Unpacks REV with ``git archive`` into a temporary directory, runs one fixed
-list of ``sarbot trial`` and ``sarbot batch`` commands with the ``src/`` of
-that copy and with the ``src/`` of the working tree, and compares every file
-each command wrote, byte for byte, together with its exit code and its
-printed summary. Prints one line per command and exits 0 when every
-artifact is identical, 1 when any differs, and 2 when REV cannot be
-unpacked. Run it from anywhere inside the repository; it writes only to the
-temporary directory, which it deletes.
+list of ``sarbot trial``, ``sarbot batch`` and ``sarbot track-preview``
+commands with the ``src/`` of that copy and with the ``src/`` of the
+working tree, and compares every file each command wrote, byte for byte,
+together with its exit code and its printed summary. Prints one line per
+command and exits 0 when every artifact is identical, 1 when any differs,
+and 2 when REV cannot be unpacked. Run it from anywhere inside the
+repository; it writes only to the temporary directory, which it deletes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ import yaml
 
 TREE = Path(__file__).resolve().parents[1]
 ETA = math.e**-1
+# the closed 8-point loop of the benchmark's reflex-spline workload, in cm
+SPLINE = {"kind": "spline",
+          "params": {"points": [[0, 0], [45, -12], [95, -4], [140, 18],
+                                [150, 62], [110, 90], [50, 84], [-10, 48]],
+                     "samples_per_segment": 64}}
 
 # name -> (sarbot command, config overrides)
 CASES = {
@@ -60,6 +65,19 @@ CASES = {
         })
         for margin in (10.0, 40.0)
     },
+    # the spline and the circle rasters, under the reflex alone (loop gain
+    # calibrated) and under sar; the preview writes the spline's track.pgm
+    "spline-reflex": ("trial", {
+        "rule": {"kind": "none"},
+        "track": SPLINE,
+        "trial": {"max_duration": 60.0},
+    }),
+    "circle-sar": ("trial", {
+        "rule": {"kind": "sar", "eta": ETA},
+        "track": {"kind": "circle", "params": {"radius": 40.0}},
+        "trial": {"max_duration": 60.0, "seed": 1},
+    }),
+    "track-preview": ("track-preview", {"track": SPLINE}),
     "batch": ("batch", {
         "trial": {"max_duration": 60.0},
         "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
@@ -77,14 +95,14 @@ def unpack(rev: str, dest: Path) -> None:
 
 def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, list[str]]:
     """Run one sarbot command with ``tree``'s sources; return its exit code
-    and its printed lines, less the one naming the run directory."""
+    and its printed lines, less those naming the output directory."""
     proc = subprocess.run(
         [sys.executable, "-m", "sarbot.cli", command, "--config", str(config),
          "--out", str(out)],
         cwd=out.parent, env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True, text=True,
     )
-    lines = [l for l in proc.stdout.splitlines() if not l.startswith("artifacts:")]
+    lines = [l for l in proc.stdout.splitlines() if str(out) not in l]
     return proc.returncode, lines + proc.stderr.splitlines()
 
 
