@@ -28,6 +28,7 @@ A tick with ``kappa != 0`` runs its rule's passes, then the update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,11 @@ class Network:
     the last forward left and store nothing; ``apply_update`` calls them only
     on ticks with ``kappa != 0``.  No weight is ever -0.0 (see ``__init__``),
     which is what makes skipping a ``kappa == 0`` update bitwise exact.
+
+    The sum-outputs ``v[l]`` are fixed views into one buffer that
+    ``__init__`` allocates and every ``forward`` overwrites in place; so is
+    ``a[l]`` of a linear layer, which is ``v[l]`` itself.  A caller who keeps
+    them across ticks must copy them.
     """
 
     def __init__(self, weights, activations, output_weighting):
@@ -119,17 +125,33 @@ class Network:
                 f"output weighting length {self.m.size} != output layer size "
                 f"{self.weights[-1].shape[0]}"
             )
-        n = self.n_layers
+        self._in_shape = (self.weights[0].shape[1],)
+        # every layer's sum-outputs, in layer order
+        self._v_all = np.zeros(sum(w.shape[0] for w in self.weights))
+        self._bind()
         self.p = None  # last input vector
-        self.v = [None] * n  # sum-outputs
-        self.a = [None] * n  # activations
+        self.a = [None] * self.n_layers  # activations
+
+    def _bind(self):
+        """Point ``v[l]`` at layer l's stretch of the sum-output buffer and
+        resolve each layer's activation function."""
+        ends = np.cumsum([w.shape[0] for w in self.weights])
+        self.v = [self._v_all[e - w.shape[0] : e] for e, w in zip(ends, self.weights)]
+        self._acts = [_ACTIVATIONS[name][0] for name in self.activations]
+
+    # a copy or an unpickled net binds anew: copied views would be detached
+    # from the copied buffer, and the linear activation, a lambda, does not
+    # pickle
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("v", "_acts")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    def _act(self, l):
-        return _ACTIVATIONS[self.activations[l]][0]
 
     def _slope(self, l) -> np.ndarray:
         """Activation derivative at layer l, from the stored forward state."""
@@ -142,19 +164,24 @@ class Network:
     def forward(self, p) -> float:
         """Run the forward pass and return the predictive action M . A_last."""
         p = np.asarray(p, dtype=float)
-        n_in = self.weights[0].shape[1]
-        if p.shape != (n_in,):
-            raise ConfigError(f"input length {p.shape} does not match {n_in}")
+        if p.shape != self._in_shape:
+            raise ConfigError(
+                f"input length {p.shape} does not match {self._in_shape[0]}"
+            )
         x = p
-        for l, w in enumerate(self.weights):
-            v = w @ x
-            if not np.isfinite(v.sum()):
-                raise NumericError(
-                    f"non-finite sum-output in layer {l + 1}", layer=l + 1
-                )
-            x = self._act(l)(v)
-            self.v[l] = v
-            self.a[l] = x
+        a = self.a
+        for l, (w, v, act) in enumerate(zip(self.weights, self.v, self._acts)):
+            np.matmul(w, x, out=v)
+            x = a[l] = act(v)
+        # one reduction for all layers: a finite sum of squares (no term can
+        # cancel another) bounds every |v| by sqrt(DBL_MAX), so no layer's
+        # own sum is non-finite; only otherwise are the layers tested in turn
+        if not math.isfinite(self._v_all @ self._v_all):
+            for l, v in enumerate(self.v):
+                if not np.isfinite(v.sum()):
+                    raise NumericError(
+                        f"non-finite sum-output in layer {l + 1}", layer=l + 1
+                    )
         self.p = p
         return float(self.m @ x)
 

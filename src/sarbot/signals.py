@@ -49,6 +49,13 @@ class FilterArray:
     Keeps a ring buffer of past difference grids; each ``step`` pushes the
     newest grid and returns the 240-vector of filter outputs, indexed by
     :func:`predictor_index`.
+
+    The ring is doubled: it holds ``2 * depth`` grids, and each push writes
+    its grid twice, at ``pos`` and at ``pos + depth``, moving ``pos`` one
+    place down (modulo ``depth``) per push. The newest ``depth`` grids,
+    newest first, are then always the contiguous slice
+    ``hist[pos : pos + depth]``, so a step reads them without an index
+    array or a copy.
     """
 
     def __init__(self, taps=None):
@@ -70,13 +77,14 @@ class FilterArray:
         self._tapmat = np.zeros((FILTER_COUNT, self.depth))
         for i, t in enumerate(self.taps):
             self._tapmat[i, : t.size] = t
-        self._hist = np.zeros((self.depth, CAMERA_ROWS, HALF_COLS))
+        self._hist = np.zeros((2 * self.depth, CAMERA_ROWS, HALF_COLS))
         self._pos = 0
 
     def step(self, diff) -> np.ndarray:
         """Push one 8x6 difference grid and return the 240 predictor values."""
-        self._pos = (self._pos + 1) % self.depth
-        self._hist[self._pos] = diff
-        lags = (self._pos - np.arange(self.depth)) % self.depth
-        p = np.einsum("ft,tij->ijf", self._tapmat, self._hist[lags])
+        depth = self.depth
+        self._pos = pos = (self._pos - 1) % depth
+        self._hist[pos] = self._hist[pos + depth] = diff
+        # lag k sits at pos + k: below depth, or its copy at or above it
+        p = np.einsum("ft,tij->ijf", self._tapmat, self._hist[pos : pos + depth])
         return p.reshape(PREDICTOR_COUNT)

@@ -10,7 +10,7 @@ wheel, i.e. turn the robot left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +63,7 @@ def step(pose: RobotPose, mc: float, dt: float, integrator: str = "arc") -> Robo
         raise ConfigError(f"unknown integrator {integrator!r}")
     if not all(map(math.isfinite, (x, y, theta))):
         raise ConfigError("pose update produced non-finite values")
-    return replace(pose, x=x, y=y, theta=theta)
+    return RobotPose(x, y, theta, pose.wheel_base, pose.v0)
 
 
 def _symmetric_disk(radius: float) -> np.ndarray:
@@ -209,7 +209,9 @@ def _to_world(pose: RobotPose, pts: np.ndarray) -> np.ndarray:
 
 def _ldr_readout(vals: np.ndarray) -> LdrReadout:
     # each G value is 255 minus the mean GSV over the sensor's disk
-    g = 255.0 - vals.reshape(6, -1).mean(axis=1)
+    cells = vals.reshape(6, -1)
+    # the mean as ndarray.mean computes it, without its Python wrapper
+    g = 255.0 - np.add.reduce(cells, axis=1) / cells.shape[1]
     return LdrReadout(g=g[:3], g_star=g[3:])
 
 
@@ -241,7 +243,9 @@ def sample_camera(
     """
     vals = sample_points(canvas, _to_world(pose, layout._pts))
     n = layout._n_cam
-    return vals[:n].reshape(8, 12, -1).mean(axis=2), _ldr_readout(vals[n:])
+    cells = vals[:n].reshape(8, 12, -1)
+    grid = np.add.reduce(cells, axis=2) / cells.shape[2]
+    return grid, _ldr_readout(vals[n:])
 
 
 # ----------------------------------------------------------------------
@@ -384,15 +388,22 @@ def _self_intersects(poly: np.ndarray) -> bool:
     """Closed-polyline self-intersection test on a decimated copy.
 
     Segments are closed, so two segments that only touch (at a vertex, or
-    overlapping along a common line) count as intersecting. Every pair of
-    non-adjacent segments is tested at once, with exact orientations.
+    overlapping along a common line) count as intersecting. The bounding
+    boxes of all segment pairs are compared at once, and only the
+    non-adjacent pairs whose boxes overlap go on to the exact orientation
+    test; :func:`_segments_meet` requires overlapping boxes too, so the
+    prefilter drops no pair that could meet.
     """
     step_n = max(1, len(poly) // 400)
     p = poly[::step_n]
     n = len(p)
     a = p
     b = np.roll(p, -1, axis=0)
-    i, j = np.triu_indices(n, k=2)
+    lo, hi = np.minimum(a, b).T, np.maximum(a, b).T
+    boxes = np.ones((n, n), dtype=bool)
+    for lo_k, hi_k in zip(lo, hi):  # per axis, x then y
+        boxes &= (lo_k[:, None] <= hi_k[None, :]) & (lo_k[None, :] <= hi_k[:, None])
+    i, j = np.nonzero(np.triu(boxes, k=2))
     keep = ~((i == 0) & (j == n - 1))  # first and last segments share p[0]
     i, j = i[keep], j[keep]
     return bool(np.any(_segments_meet(a[i], b[i], a[j], b[j])))

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -77,6 +78,121 @@ def test_forward_nonfinite_identifies_layer():
     with pytest.raises(NumericError) as err:
         net.forward(np.ones(2))
     assert err.value.layer == 2
+
+
+_REF_ACT = {"tanh": np.tanh, "linear": lambda v: v}
+
+
+def reference_forward(net, p):
+    """The forward pass layer by layer, each sum-output a fresh ``w @ x``:
+    returns the action, the sum-outputs and the activations."""
+    x, vs, acts = p, [], []
+    for w, name in zip(net.weights, net.activations):
+        vs.append(w @ x)
+        x = _REF_ACT[name](vs[-1])
+        acts.append(x)
+    return float(net.m @ x), vs, acts
+
+
+def random_net(rng, sizes, w0):
+    specs = [LayerSpec(sizes[0])] + [
+        LayerSpec(s, str(rng.choice(["tanh", "linear"]))) for s in sizes[1:]
+    ]
+    return init_weights(specs, seed=int(rng.integers(2**32)), w0=w0,
+                        output_weighting=rng.uniform(-2, 2, sizes[-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 16), min_size=2, max_size=7),
+    w0=st.sampled_from([0.05, 0.8, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_equals_the_layer_by_layer_reference_bitwise(sizes, w0, seed):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, sizes, w0)
+    for _ in range(3):
+        p = rng.uniform(-200, 200, sizes[0])
+        a_p = net.forward(p)
+        ref_a_p, ref_v, ref_a = reference_forward(net, p)
+        assert np.float64(a_p).tobytes() == np.float64(ref_a_p).tobytes()
+        for l in range(net.n_layers):
+            assert net.v[l].tobytes() == ref_v[l].tobytes()
+            assert net.a[l].tobytes() == ref_a[l].tobytes()
+
+
+def test_forward_sum_outputs_are_views_the_next_forward_overwrites():
+    net = make_net([4, 3, 2])
+    views = list(net.v)
+    net.forward(np.ones(4))
+    first = [v.copy() for v in net.v]
+    net.forward(-np.ones(4))
+    assert all(v is w for v, w in zip(net.v, views))
+    npt.assert_array_equal(net.v[0], -first[0])
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))])
+def test_a_copied_net_checks_its_own_sum_outputs(clone):
+    net = make_net([3, 4, 2])
+    net.forward(np.ones(3))
+    twin = clone(net)
+    npt.assert_array_equal(np.concatenate(twin.v), np.concatenate(net.v))
+    twin.weights[1][0, 0] = np.nan
+    with pytest.raises(NumericError) as err:
+        twin.forward(np.ones(3))
+    assert err.value.layer == 2
+    assert np.isnan(twin.v[1][0]) and not np.isnan(net.v[1]).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=2, max_size=7),
+    bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nonfinite_weights_name_the_first_nonfinite_layer(sizes, bad, seed):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, sizes, 0.8)
+    p0 = rng.uniform(-1, 1, sizes[0])
+    net.forward(p0)
+    # one bad value in each of up to three layers, from a random first one on
+    layers = rng.choice(net.n_layers, len(bad))
+    for value, l in zip(bad, layers):
+        w = net.weights[l]
+        w[rng.integers(w.shape[0]), rng.integers(w.shape[1])] = value
+    p = rng.uniform(-1, 1, sizes[0])
+    # inf * 0 and inf - inf also make numpy warn; only the error is checked
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, ref_v, _ = reference_forward(net, p)
+        first = next(l for l, v in enumerate(ref_v) if not np.isfinite(v.sum()))
+        with pytest.raises(NumericError) as err:
+            net.forward(p)
+    assert first == min(layers)
+    assert err.value.layer == first + 1
+    assert net.p is p0  # the failed forward left the last input alone
+
+
+def test_finite_layer_sums_whose_total_overflows_do_not_raise():
+    # each layer sums to 1e308; all of them together overflow
+    net = Network([[[1e308], [0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                  ["linear", "linear"], [1.0, 0.0])
+    with np.errstate(over="ignore"):  # the check's sum of squares overflows
+        assert net.forward(np.array([1.0])) == 1e308
+    assert [float(v.sum()) for v in net.v] == [1e308, 1e308]
+    assert not np.isfinite(sum(float(v.sum()) for v in net.v))
+
+
+def test_one_layer_overflow_raises_though_the_layers_cancel():
+    # layer 1 sums to inf; layer 2 repeats its terms with the opposite sign,
+    # so a plain total over both layers, in a different order, could be 0
+    w1 = np.zeros((9, 1))
+    w1[[0, 1], 0], w1[8, 0] = 1e308, -1e308
+    w2 = np.zeros((9, 9))
+    w2[0, 0] = -1.0
+    net = Network([w1, w2], ["linear", "linear"], np.ones(9))
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        net.forward(np.array([1.0]))
+    assert err.value.layer == 1
 
 
 # ----------------------------------------------------------------------

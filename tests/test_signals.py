@@ -115,3 +115,38 @@ def test_mirrored_stream_negates_predictors_exactly():
         p = fa.step(difference_signals(grid))
         pm = fa_m.step(difference_signals(grid[:, ::-1]))
         npt.assert_array_equal(pm, -p)
+
+
+class FancyIndexFilterArray:
+    """Reference: a ring of ``depth`` grids, read back newest first through
+    an index array of lags (a copy), then the same einsum."""
+
+    def __init__(self, taps):
+        self.depth = max(len(t) for t in taps)
+        self.tapmat = np.zeros((FILTER_COUNT, self.depth))
+        for i, t in enumerate(taps):
+            self.tapmat[i, : len(t)] = t
+        self.hist = np.zeros((self.depth, CAMERA_ROWS, HALF_COLS))
+        self.pos = 0
+
+    def step(self, diff):
+        self.pos = (self.pos + 1) % self.depth
+        self.hist[self.pos] = diff
+        lags = (self.pos - np.arange(self.depth)) % self.depth
+        p = np.einsum("ft,tij->ijf", self.tapmat, self.hist[lags])
+        return p.reshape(PREDICTOR_COUNT)
+
+
+@pytest.mark.parametrize("taps", [
+    default_filter_taps(),
+    # unequal lengths: the longest sets the depth, the others pad with zeros
+    [[1.0], [0.25, 0.75], [0.5, 0.0, 0.0, 0.0, 0.5], [0.1] * 10, [0.0, 0.3, 0.7]],
+    [[1.0]] * FILTER_COUNT,
+])
+def test_doubled_ring_equals_the_fancy_index_step_bitwise(taps):
+    fa, ref = FilterArray(taps), FancyIndexFilterArray(taps)
+    rng = np.random.default_rng(7)
+    for t in range(3 * fa.depth + 5):
+        # wide exponents make any change in the order of the sums show
+        diff = rng.uniform(-255, 255, (8, 6)) * 10.0 ** rng.integers(-8, 9, (8, 6))
+        assert fa.step(diff).tobytes() == ref.step(diff).tobytes(), t

@@ -22,6 +22,7 @@ from sarbot.simenv import (
     _orient,
     _seg_dist,
     _segments_meet,
+    _self_intersects,
     _snap,
     _symmetric_disk,
     load_canvas,
@@ -384,6 +385,53 @@ def test_orient_and_contact_agree_with_rational_arithmetic(pairs):
         assert got.tolist() == ref
     got = _segments_meet(ai, bi, aj, bj)
     assert got.tolist() == [_ref_segments_meet(*row) for row in zip(ai, bi, aj, bj)]
+
+
+def _ref_all_pairs_self_intersects(poly):
+    """Reference: every non-adjacent segment pair of the decimated loop goes
+    through _segments_meet, without a bounding-box prefilter."""
+    p = poly[:: max(1, len(poly) // 400)]
+    n = len(p)
+    a, b = p, np.roll(p, -1, axis=0)
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    return bool(np.any(_segments_meet(a[i], b[i], a[j], b[j])))
+
+
+@st.composite
+def closed_polylines(draw):
+    """Closed loops on a small integer grid, so that vertices touch and
+    segments overlap along a line often, some scaled and shifted by
+    non-integer amounts; or long random walks, decimated before the test."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rng.random() < 0.2:
+        return np.cumsum(rng.normal(0, 1, (int(rng.integers(400, 1200)), 2)), axis=0)
+    n = int(rng.choice([4, 5, 8, 13, 30]))
+    poly = rng.integers(0, int(rng.choice([3, 6, 50])), (n, 2)).astype(float)
+    if rng.random() < 0.5:
+        poly = poly * rng.uniform(0.01, 100.0) + rng.uniform(-1e3, 1e3, 2)
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_polylines())
+@example(np.array([[0, 0], [4, 0], [4, 4], [0, 4]], dtype=float))  # simple square
+@example(np.array([[0, 0], [4, 4], [4, 0], [0, 4]], dtype=float))  # bow tie
+@example(np.array([[0, 0], [4, 0], [2, 2], [4, 0], [4, 4]], dtype=float))  # collinear
+@example(np.array([[0, 0], [4, 0], [2, 0], [2, 3]], dtype=float))  # overlap back
+@example(np.array([[0, 0], [2, 0], [4, 0], [3, 2], [2, 0], [1, 2]], dtype=float))
+def test_prefiltered_self_intersection_equals_all_pairs(poly):
+    assert _self_intersects(poly) == _ref_all_pairs_self_intersects(poly)
+
+
+def test_self_intersection_of_a_vertex_touch_and_of_a_smooth_loop():
+    # the fourth vertex touches the first segment at its midpoint
+    touch = np.array([[0, 0], [4, 0], [4, 3], [2, 0], [0, 3]], dtype=float)
+    assert _self_intersects(touch) and _ref_all_pairs_self_intersects(touch)
+    loop = _catmull_rom(np.array([[0, 0], [45, -12], [95, -4], [140, 18],
+                                  [150, 62], [110, 90], [50, 84], [-10, 48]]), 64)
+    assert not _self_intersects(loop) and not _ref_all_pairs_self_intersects(loop)
 
 
 def test_orient_goes_exact_only_within_the_float_bound(monkeypatch):
