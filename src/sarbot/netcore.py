@@ -170,20 +170,36 @@ class Network:
             )
         x = p
         a = self.a
-        for l, (w, v, act) in enumerate(zip(self.weights, self.v, self._acts)):
-            np.matmul(w, x, out=v)
-            x = a[l] = act(v)
         # one reduction for all layers: a finite sum of squares (no term can
         # cancel another) bounds every |v| by sqrt(DBL_MAX), so no layer's
-        # own sum is non-finite; only otherwise are the layers tested in turn
-        if not math.isfinite(self._v_all @ self._v_all):
-            for l, v in enumerate(self.v):
-                if not np.isfinite(v.sum()):
-                    raise NumericError(
-                        f"non-finite sum-output in layer {l + 1}", layer=l + 1
-                    )
+        # own sum is non-finite. Overflow and invalid-value reports are held
+        # back: each one comes with a non-finite sum-output or sum of
+        # squares, and then _test_layers repeats the pass and reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l, (w, v, act) in enumerate(zip(self.weights, self.v, self._acts)):
+                np.matmul(w, x, out=v)
+                x = a[l] = act(v)
+            finite = math.isfinite(self._v_all.dot(self._v_all))
+        if not finite:
+            self._test_layers(p)
         self.p = p
         return float(self.m @ x)
+
+    def _test_layers(self, p):
+        """Repeat the forward pass of ``p`` layer by layer, each sum-output a
+        fresh ``w @ x`` whose own sum is tested before the next layer runs,
+        and raise for the first layer whose sum is non-finite.  It runs under
+        the caller's floating-point error handling, so numpy warns (or
+        raises) only for the layers up to that one, as a pass that stops
+        there does; the values equal the buffer's bit for bit."""
+        x = p
+        for l, (w, act) in enumerate(zip(self.weights, self._acts)):
+            v = w @ x
+            if not np.isfinite(v.sum()):
+                raise NumericError(
+                    f"non-finite sum-output in layer {l + 1}", layer=l + 1
+                )
+            x = act(v)
 
     def _require_forward(self, what):
         if self.p is None:

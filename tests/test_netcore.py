@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -161,23 +163,61 @@ def test_nonfinite_weights_name_the_first_nonfinite_layer(sizes, bad, seed):
         w = net.weights[l]
         w[rng.integers(w.shape[0]), rng.integers(w.shape[1])] = value
     p = rng.uniform(-1, 1, sizes[0])
-    # inf * 0 and inf - inf also make numpy warn; only the error is checked
-    with np.errstate(invalid="ignore", over="ignore"):
-        _, ref_v, _ = reference_forward(net, p)
-        first = next(l for l, v in enumerate(ref_v) if not np.isfinite(v.sum()))
-        with pytest.raises(NumericError) as err:
-            net.forward(p)
+    # inf * 0 and inf - inf make numpy warn: the forward must warn as the
+    # pass that stops at the first bad layer does, and no more
+    with recorded_warnings() as ref_warned:
+        first = stopping_reference(net, p)
+    with recorded_warnings() as warned, pytest.raises(NumericError) as err:
+        net.forward(p)
     assert first == min(layers)
     assert err.value.layer == first + 1
+    assert messages(warned) == messages(ref_warned)
     assert net.p is p0  # the failed forward left the last input alone
+
+
+def stopping_reference(net, p):
+    """The forward pass that tests each layer's sum before it runs the next;
+    returns the index of the first layer whose sum is non-finite, or None."""
+    x = p
+    for l, (w, name) in enumerate(zip(net.weights, net.activations)):
+        v = w @ x
+        if not np.isfinite(v.sum()):
+            return l
+        x = _REF_ACT[name](v)
+    return None
+
+
+@contextlib.contextmanager
+def recorded_warnings():
+    """Every warning numpy gives for an overflow or an invalid value."""
+    with warnings.catch_warnings(record=True) as warned, \
+            np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("always")
+        yield warned
+
+
+def messages(warned):
+    return [(w.category, str(w.message)) for w in warned]
+
+
+@pytest.mark.parametrize("value", [1e160, 1e308])
+def test_a_forward_whose_check_overflows_warns_of_nothing(value):
+    # |v| above sqrt(DBL_MAX) overflows the sum of squares, not a layer's sum
+    net = Network([[[value], [0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                  ["linear", "tanh"], [1.0, 0.0])
+    with recorded_warnings() as warned:
+        assert net.forward(np.array([1.0])) == 1.0
+        assert stopping_reference(net, np.array([1.0])) is None
+    assert messages(warned) == []
 
 
 def test_finite_layer_sums_whose_total_overflows_do_not_raise():
     # each layer sums to 1e308; all of them together overflow
     net = Network([[[1e308], [0.0]], [[1.0, 0.0], [0.0, 0.0]]],
                   ["linear", "linear"], [1.0, 0.0])
-    with np.errstate(over="ignore"):  # the check's sum of squares overflows
+    with recorded_warnings() as warned:
         assert net.forward(np.array([1.0])) == 1e308
+    assert messages(warned) == []
     assert [float(v.sum()) for v in net.v] == [1e308, 1e308]
     assert not np.isfinite(sum(float(v.sum()) for v in net.v))
 
@@ -190,9 +230,12 @@ def test_one_layer_overflow_raises_though_the_layers_cancel():
     w2 = np.zeros((9, 9))
     w2[0, 0] = -1.0
     net = Network([w1, w2], ["linear", "linear"], np.ones(9))
-    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+    with recorded_warnings() as ref_warned:
+        assert stopping_reference(net, np.array([1.0])) == 0
+    with recorded_warnings() as warned, pytest.raises(NumericError) as err:
         net.forward(np.array([1.0]))
     assert err.value.layer == 1
+    assert messages(warned) == messages(ref_warned) != []
 
 
 # ----------------------------------------------------------------------

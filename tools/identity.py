@@ -86,11 +86,15 @@ CASES = {
 }
 
 
-def unpack(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=TREE,
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+def unpack(rev: str, dest: Path) -> str:
+    """Extract ``rev`` into ``dest`` and return its full commit id."""
+    def git(*cmd):
+        return subprocess.run(["git", *cmd], cwd=TREE, capture_output=True,
+                              check=True).stdout
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
 
 
 def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, list[str]]:

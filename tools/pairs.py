@@ -1,20 +1,21 @@
 """Run the benchmark in alternating pairs of a revision and the working tree.
 
     python3 tools/pairs.py REV --pairs N --out BENCH_x.json
-        [--workloads W ...] [--claim WORKLOAD:METRIC]
-        [--seed S] [--seconds T] [--trace 0|1] [--change TEXT]
+        [--workloads W ...] [--claim WORKLOAD:METRIC] [--seed S] [--change TEXT]
 
 Unpacks REV with ``git archive`` into a temporary directory and runs
 ``bench/run.py`` there ("parent") and in the working tree ("change"), each
-side from its own checkout. Pair k of a workload runs both sides with
-``--seed S + k``; the parent runs first in even pairs and second in odd ones,
+side from its own checkout, for the benchmark's ``run_seconds`` and without
+the tracer, as the benchmark measures. Pair k of a workload runs both sides
+with ``--seed S + k``; the parent runs first in even pairs and second in odd ones,
 so drift in the machine's speed falls on both sides. Every finished pair is
 written to ``--out`` at once: the machine, the command, the protocol, the
 claim, each side's raw result line and, per workload and metric, each side's
 median and quartiles, the median ratio (change / parent) and the pairs the
-change won. With ``--claim`` the file also says whether the claim holds: the
-change wins at least nine tenths of the pairs, and the medians differ by more
-than the distance between the parent's quartiles. Exits 0 when every run
+change won. A claim names one of the benchmark's end-to-end metrics; with
+``--claim`` the file also says whether it holds: the change wins at least
+nine tenths of the pairs, and the medians differ by more than the distance
+between the parent's quartiles. Exits 0 when every run
 reads ``correct: true``, 1 when one does not or a run fails (the pairs run
 so far are kept), and 2 when REV cannot be unpacked.
 """
@@ -22,26 +23,29 @@ so far are kept), and 2 when REV cannot be unpacked.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from identity import unpack
+
 TREE = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((TREE / "BENCHMARK.json").read_text())
+# the benchmark's own run: its run length, no tracer
+RUN_ARGS = ["--seconds", f"{BENCHMARK['run_seconds']:g}", "--trace", "0"]
 CLAIM_WIN_SHARE = 0.9
 
 
 def parse_args(argv, benchmark):
     workloads = [w["name"] for w in benchmark["workloads"]]
-    metrics = [m["name"] for m in benchmark["end_to_end"] + benchmark["per_layer"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
     parser.add_argument("--pairs", type=int, required=True)
@@ -49,8 +53,6 @@ def parse_args(argv, benchmark):
     parser.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
     parser.add_argument("--claim", help="WORKLOAD:METRIC")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--change", default="the working tree")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -59,26 +61,16 @@ def parse_args(argv, benchmark):
         workload, _, metric = args.claim.partition(":")
         if workload not in args.workloads or metric not in metrics:
             parser.error(f"--claim {args.claim}: need WORKLOAD:METRIC over the "
-                         f"workloads run and the metrics of BENCHMARK.json")
+                         f"workloads run and the end-to-end metrics of "
+                         f"BENCHMARK.json")
     return args
 
 
-def unpack(rev: str, dest: Path) -> str:
-    """Extract ``rev`` into ``dest`` and return its full commit id."""
-    def git(*cmd):
-        return subprocess.run(["git", *cmd], cwd=TREE, capture_output=True,
-                              check=True).stdout
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
-        tar.extractall(dest, filter="data")
-    return commit
-
-
-def run_side(root: Path, workload: str, seed: int, args) -> dict:
+def run_side(root: Path, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` run from the checkout at ``root``; its last line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)],
+         *RUN_ARGS],
         cwd=root, capture_output=True, text=True,
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
     )
@@ -157,10 +149,8 @@ def claim_holds(summary: dict, claim: str) -> bool:
 
 
 def main(argv: list[str]) -> int:
-    benchmark = json.loads((TREE / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"]
-              for m in benchmark["end_to_end"] + benchmark["per_layer"]}
-    args = parse_args(argv, benchmark)
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    args = parse_args(argv, BENCHMARK)
     with tempfile.TemporaryDirectory(prefix="sarbot-pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
         try:
@@ -174,8 +164,8 @@ def main(argv: list[str]) -> int:
             "parent_commit": commit,
             "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": np.__version__, "platform": platform.platform()},
-            "command": f"python3 bench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace {args.trace}",
+            "command": " ".join(["python3 bench/run.py --workload W --seed S",
+                                 *RUN_ARGS]),
             "protocol": "pairs alternate which side runs first (even index: parent "
                         f"first); each pair runs both sides with the same --seed "
                         f"({args.seed} upward); each side runs from its own checkout",
@@ -193,7 +183,7 @@ def main(argv: list[str]) -> int:
                 pair = {"seed": seed, "order": order}
                 try:
                     for side in order:
-                        pair[side] = run_side(roots[side], workload, seed, args)
+                        pair[side] = run_side(roots[side], workload, seed)
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     status = 1
