@@ -9,6 +9,7 @@ calibration probe checks (see :func:`verify_descent` and exper.calibrate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,8 @@ class ReflexConfig:
 
 def control_error(readout: LdrReadout, cfg: ReflexConfig) -> float:
     """Weighted sum of left-right sensor differences, in GSV."""
-    return float(np.dot(cfg.k, np.subtract(readout.g, readout.g_star)))
+    # ndarray.dot and "-" reach np.dot's and np.subtract's loops directly
+    return float(cfg.k.dot(readout.g - readout.g_star))
 
 
 def reflex_action(e: float, cfg: ReflexConfig) -> float:
@@ -73,7 +75,7 @@ def motor_command(a_r: float, a_p: float) -> float:
     """MC = A_R + A_P, exactly; saturation is applied downstream at the
     actuator (see :func:`saturate`) so the logged decomposition stays exact."""
     mc = a_r + a_p
-    if not np.isfinite(mc):
+    if not math.isfinite(mc):
         raise NumericError(f"non-finite motor command from ({a_r}, {a_p})")
     return mc
 

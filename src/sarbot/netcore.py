@@ -113,8 +113,8 @@ class Network:
         for l in range(1, len(self.weights)):
             if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
                 raise ConfigError(
-                    f"weight matrices do not chain: layer {l} expects "
-                    f"{self.weights[l].shape[1]} inputs, layer {l + 1 - 1} has "
+                    f"weight matrices do not chain: layer {l + 1} expects "
+                    f"{self.weights[l].shape[1]} inputs, layer {l} has "
                     f"{self.weights[l - 1].shape[0]} neurons"
                 )
         self.initial_weights = [w.copy() for w in self.weights]
@@ -134,16 +134,27 @@ class Network:
 
     def _bind(self):
         """Point ``v[l]`` at layer l's stretch of the sum-output buffer and
-        resolve each layer's activation function."""
+        resolve each layer's activation function and product.
+
+        A product is ``ndarray.dot``, which reaches the same BLAS routine as
+        ``np.matmul`` and gives the same bits without the ufunc dispatch.
+        Only a single-element operand (a 1x1 layer, a one-neuron output
+        weighting) keeps ``np.matmul``: there dot multiplies, while matmul
+        adds the product to 0.0, which turns a -0.0 into +0.0."""
         ends = np.cumsum([w.shape[0] for w in self.weights])
         self.v = [self._v_all[e - w.shape[0] : e] for e, w in zip(ends, self.weights)]
         self._acts = [_ACTIVATIONS[name][0] for name in self.activations]
+        self._dots = [
+            np.matmul if a.size == 1 else np.ndarray.dot for a in (*self.weights, self.m)
+        ]
 
     # a copy or an unpickled net binds anew: copied views would be detached
     # from the copied buffer, and the linear activation, a lambda, does not
     # pickle
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("v", "_acts")}
+        return {
+            k: v for k, v in self.__dict__.items() if k not in ("v", "_acts", "_dots")
+        }
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -162,7 +173,13 @@ class Network:
     # ------------------------------------------------------------------
 
     def forward(self, p) -> float:
-        """Run the forward pass and return the predictive action M . A_last."""
+        """Run the forward pass and return the predictive action M . A_last.
+
+        The products are the ones ``_bind`` resolved, not ``@``: at these
+        sizes matmul's ufunc dispatch costs more than the product itself, and
+        the forward runs every tick.  A non-finite action is recomputed with
+        ``@`` outside the held-back reports, so it warns as ``m @ x`` does.
+        """
         p = np.asarray(p, dtype=float)
         if p.shape != self._in_shape:
             raise ConfigError(
@@ -170,20 +187,24 @@ class Network:
             )
         x = p
         a = self.a
+        dots = self._dots
         # one reduction for all layers: a finite sum of squares (no term can
         # cancel another) bounds every |v| by sqrt(DBL_MAX), so no layer's
         # own sum is non-finite. Overflow and invalid-value reports are held
-        # back: each one comes with a non-finite sum-output or sum of
-        # squares, and then _test_layers repeats the pass and reports it
+        # back: each one comes with a non-finite sum-output, sum of squares
+        # or action, and then _test_layers or "m @ x" repeats it and reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for l, (w, v, act) in enumerate(zip(self.weights, self.v, self._acts)):
-                np.matmul(w, x, out=v)
+                dots[l](w, x, out=v)
                 x = a[l] = act(v)
             finite = math.isfinite(self._v_all.dot(self._v_all))
+            out = float(dots[-1](self.m, x))
         if not finite:
             self._test_layers(p)
         self.p = p
-        return float(self.m @ x)
+        if not math.isfinite(out):
+            out = float(self.m @ x)
+        return out
 
     def _test_layers(self, p):
         """Repeat the forward pass of ``p`` layer by layer, each sum-output a
@@ -248,7 +269,8 @@ class Network:
         last = n - 1
         g[last] = self.m * self._slope(last) * e
         for l in range(n - 2, -1, -1):
-            g[l] = self._slope(l) * (self.weights[l + 1].sum(axis=0) * e)
+            # ndarray.sum's own reduce, without its Python wrapper
+            g[l] = self._slope(l) * (np.add.reduce(self.weights[l + 1], axis=0) * e)
         return g
 
     # ------------------------------------------------------------------
@@ -264,7 +286,7 @@ class Network:
 
     def _require_update(self, what, kappa):
         self._require_forward(what)
-        if not np.isfinite(kappa):
+        if not math.isfinite(kappa):
             raise NumericError(f"non-finite closed-loop gradient {kappa}")
 
     def compute_update(
@@ -276,7 +298,8 @@ class Network:
         errors = self._rule_errors(rule, e)
         inputs = [self.p] + self.a[:-1]
         scale = rule.eta * kappa
-        return [scale * np.outer(err, x) for err, x in zip(errors, inputs)]
+        # the products np.outer forms, without its Python wrapper
+        return [scale * np.multiply.outer(err, x) for err, x in zip(errors, inputs)]
 
     def apply_update(self, rule: UpdateRule, e: float, kappa: float) -> None:
         """Apply the rule's weight deltas in place.
@@ -310,7 +333,8 @@ class Network:
         """
         l = self._layer_index(layer)
         diff = self.weights[l] - self.initial_weights[l]
-        return float(np.sqrt(np.sum(diff * diff)))
+        # np.sum's reduce and a correctly rounded sqrt, without numpy's wrappers
+        return math.sqrt(np.add.reduce(diff * diff, axis=None))
 
     def weight_heatmap(self, layer: int) -> np.ndarray:
         """Min-max normalized |weights| of one layer, in [0, 1].

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarbot.errors import ConfigError, NumericError, StateError
 from sarbot.loop import (
@@ -37,6 +39,25 @@ def test_control_error_antisymmetric_under_swap():
         e1 = control_error(readout(g, gs), cfg)
         e2 = control_error(readout(gs, g), cfg)
         npt.assert_allclose(e1, -e2, rtol=0, atol=0)
+
+
+gsv = st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3, unique=True),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+    g=gsv,
+    g_star=gsv,
+)
+def test_control_error_equals_np_dot_of_np_subtract_bitwise(k, signs, g, g_star):
+    cfg = ReflexConfig(k=tuple(s * m for s, m in zip(signs, sorted(k))))
+    r = readout(g, g_star)
+    e = control_error(r, cfg)
+    assert type(e) is float
+    ref = float(np.dot(cfg.k, np.subtract(r.g, r.g_star)))
+    assert np.float64(e).tobytes() == np.float64(ref).tobytes()
 
 
 def test_reflex_action_proportionality():

@@ -123,6 +123,27 @@ def test_forward_equals_the_layer_by_layer_reference_bitwise(sizes, w0, seed):
             assert net.a[l].tobytes() == ref_a[l].tobytes()
 
 
+def test_single_element_products_keep_the_sign_of_zero_matmul_gives():
+    # a 1x1 product through ndarray.dot would be a bare multiply, -0.0 here;
+    # matmul adds it to 0.0 and gives +0.0, and so must the forward
+    net = Network([[[0.5]], [[-2.0]]], ["linear", "linear"], [3.0])
+    p = np.array([-0.0])
+    a_p = net.forward(p)
+    ref_a_p, ref_v, ref_a = reference_forward(net, p)
+    assert [v.tobytes() for v in net.v] == [v.tobytes() for v in ref_v]
+    assert np.float64(a_p).tobytes() == np.float64(ref_a_p).tobytes()
+    assert not np.signbit(net.v[0][0]) and not np.signbit(a_p)
+
+
+def test_an_overflowing_action_warns_as_matmul_does():
+    net = Network([[[1e300], [-1e300]]], ["linear"], [1e10, -1e10])
+    with recorded_warnings() as ref_warned:
+        ref_a_p = reference_forward(net, np.array([1.0]))[0]
+    with recorded_warnings() as warned:
+        assert net.forward(np.array([1.0])) == ref_a_p == np.inf
+    assert messages(warned) == messages(ref_warned) != []
+
+
 def test_forward_sum_outputs_are_views_the_next_forward_overwrites():
     net = make_net([4, 3, 2])
     views = list(net.v)
@@ -236,6 +257,15 @@ def test_one_layer_overflow_raises_though_the_layers_cancel():
         net.forward(np.array([1.0]))
     assert err.value.layer == 1
     assert messages(warned) == messages(ref_warned) != []
+
+
+def test_a_broken_chain_names_the_layer_that_expects_and_the_one_that_has():
+    with pytest.raises(ConfigError) as err:
+        Network([np.ones((4, 3)), np.ones((2, 5))], ["tanh", "tanh"], [1.0, 1.0])
+    assert str(err.value) == (
+        "weight matrices do not chain: layer 2 expects 5 inputs, "
+        "layer 1 has 4 neurons"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -617,3 +647,87 @@ def test_positive_scaling_leaves_gamma_and_sar_update_unchanged():
             npt.assert_array_equal(
                 scaled.compute_update(rule, e, 2.0 * e)[0], base_update
             )
+
+
+# ----------------------------------------------------------------------
+# the passes against the numpy forms they replace, byte for byte
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def forward_states(draw):
+    """A random tanh/linear net after one forward, an error e and a kappa;
+    w0 = 40 saturates tanh layers, so slopes round to 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=7))
+    net = random_net(rng, sizes, draw(st.sampled_from([0.05, 0.8, 40.0])))
+    p = rng.uniform(-200, 200, sizes[0])
+    p[rng.random(sizes[0]) < 0.2] = 0.0
+    net.forward(p)
+    e = draw(st.sampled_from([0.0, -1.5, float(rng.normal(0, 20))]))
+    kappa = float(rng.normal(0, 2))
+    return net, e, kappa
+
+
+def reference_slope(net, l):
+    a = net.a[l]
+    return 1.0 - a * a if net.activations[l] == "tanh" else np.ones_like(a)
+
+
+def reference_local_prop(net, e):
+    last = net.n_layers - 1
+    g = [net.m * reference_slope(net, last) * e]
+    for l in range(last - 1, -1, -1):
+        g.insert(0, reference_slope(net, l) * (net.weights[l + 1].sum(axis=0) * e))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(forward_states())
+def test_local_prop_equals_the_sum_form_bitwise(state):
+    net, e, _ = state
+    assert bitwise(net.local_prop(e)) == bitwise(reference_local_prop(net, e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forward_states(), st.sampled_from(RULES))
+def test_compute_update_equals_scaled_np_outer_bitwise(state, kind):
+    net, e, kappa = state
+    if kind == GDM:
+        errors = net.backprop_delta()
+    elif kind == LOCALPROP:
+        errors = net.local_prop(e)
+    else:
+        errors = [s * np.abs(g) for s, g in zip(net.sign_prop(e), net.local_prop(e))]
+    scale = 0.3 * kappa
+    ref = [scale * np.outer(err, x) for err, x in zip(errors, [net.p] + net.a[:-1])]
+    assert bitwise(net.compute_update(UpdateRule(kind, 0.3), e, kappa)) == bitwise(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forward_states(), st.sampled_from(RULES))
+def test_euclidean_distance_equals_the_np_sqrt_sum_form_bitwise(state, kind):
+    net, e, kappa = state
+    net.apply_update(UpdateRule(kind, 0.7), e, kappa)
+    for l, (w, w_init) in enumerate(zip(net.weights, net.initial_weights)):
+        diff = w - w_init
+        ref = float(np.sqrt(np.sum(diff * diff)))
+        got = net.euclidean_distance(l + 1)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(forward_states())
+def test_sar_steps_are_localprop_steps_where_the_sign_cascade_is_nonzero(state):
+    # from one forward state: |dw| of sar equals |dw| of localprop element
+    # for element wherever sign_prop is nonzero, and sar leaves the rest alone
+    net, e, kappa = state
+    signs = net.sign_prop(e)
+    d_sar = net.compute_update(UpdateRule(SAR, 0.4), e, kappa)
+    d_lp = net.compute_update(UpdateRule(LOCALPROP, 0.4), e, kappa)
+    for s, sar, lp in zip(signs, d_sar, d_lp, strict=True):
+        assert np.isin(s, (-1.0, 0.0, 1.0)).all()
+        on = s != 0
+        assert np.abs(sar[on]).tobytes() == np.abs(lp[on]).tobytes()
+        assert (sar[~on] == 0).all()

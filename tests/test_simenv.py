@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -205,17 +207,23 @@ def _ref_full_grid_raster(kind, params, width, scale, margin, path_value, bg_val
         poly = poly - poly.min(axis=0) + margin
         bbox = poly.max(axis=0) + margin
         xx, yy = grid(bbox[0], bbox[1])
-        seg = np.diff(np.vstack([poly, poly[:1]]), axis=0)
-        seglen = np.hypot(seg[:, 0], seg[:, 1])
-        dense = [poly]
-        for i in np.nonzero(seglen > scale / 4)[0]:
-            n = int(seglen[i] / (scale / 4)) + 1
-            t = np.linspace(0, 1, n, endpoint=False)[1:, None]
-            dense.append(poly[i] + t * seg[i])
-        dist = cKDTree(np.concatenate(dense)).query(
+        dist = cKDTree(_ref_dense_cloud(poly, scale)).query(
             np.stack([xx.ravel(), yy.ravel()], axis=1))[0].reshape(xx.shape)
     cover = np.clip((dist - (width / 2 - scale / 2)) / scale, 0.0, 1.0)
     return path_value + (bg_value - path_value) * cover
+
+
+def _ref_dense_cloud(poly, scale):
+    """The spline's closed polyline plus, per segment longer than scale / 4,
+    its interior points from one np.linspace call each."""
+    seg = np.diff(np.vstack([poly, poly[:1]]), axis=0)
+    seglen = np.hypot(seg[:, 0], seg[:, 1])
+    dense = [poly]
+    for i in np.nonzero(seglen > scale / 4)[0]:
+        n = int(seglen[i] / (scale / 4)) + 1
+        t = np.linspace(0, 1, n, endpoint=False)[1:, None]
+        dense.append(poly[i] + t * seg[i])
+    return np.concatenate(dense)
 
 
 @st.composite
@@ -267,6 +275,27 @@ def test_band_limited_raster_equals_the_full_grid(kind, data):
     canvas = _assert_raster_equals_the_full_grid(data.draw(tracks(kind)))
     gap = np.hypot(*np.diff(canvas.path, axis=0).T).max() / canvas.scale
     event(f"largest path gap {'above 1.5' if gap > 1.5 else 'within 1.5'} spacings")
+
+
+@settings(max_examples=60, deadline=None)
+@given(tracks("spline"))
+@example(("spline", {"points": [[0, 0], [20, 0], [20, 20], [0, 20]],
+                     "samples_per_segment": 400}, 2.0, 1.0, 5.0, 0.0, 255.0))
+def test_spline_cloud_equals_the_per_segment_linspace_loop(track):
+    # the example's segments are all shorter than scale / 4: no interior points
+    clouds = []
+
+    def recording_tree(points):
+        clouds.append(points)
+        return cKDTree(points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simenv, "cKDTree", recording_tree)
+        canvas = _assert_raster_equals_the_full_grid(track)
+    ref = _ref_dense_cloud(canvas.path, canvas.scale)
+    event(f"{len(ref) - len(canvas.path)} interior points")
+    assert len(clouds) == 1
+    assert clouds[0].shape == ref.shape and clouds[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("track", [
@@ -654,6 +683,45 @@ def test_points_on_the_first_and_last_pixel():
         off[axis] = (edge + 0.5) * scale
         with pytest.raises(OutOfBoundsError):
             sample_points(canvas, off)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0]), st.booleans())
+def test_a_gather_inside_and_one_touching_the_last_pixel_equal_the_reference(
+        seed, scale, touch):
+    # pixel coordinates survive the trip through a power-of-two scale exactly,
+    # so a touching point lies exactly on pixel w - 1 or h - 1 and sends the
+    # whole gather, interior points included, to the clamped corners
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(2, 40, 2)
+    raster = rng.uniform(0.0, 256.0, (h, w))
+    canvas = Canvas(raster=raster, scale=scale, start=(0.0, 0.0, 0.0),
+                    track_kind="random")
+    n = int(rng.integers(1, 50))
+    px, py = rng.uniform(0.0, w - 1.0, n), rng.uniform(0.0, h - 1.0, n)
+    if touch:
+        px[rng.random(n) < 0.3] = w - 1.0
+        py[rng.random(n) < 0.3] = h - 1.0
+        px[0] = w - 1.0
+    assert (px.max() == w - 1.0) == touch and py.max() <= h - 1.0
+    pts = np.stack([(px + 0.5) * scale, (py + 0.5) * scale])
+    vals = sample_points(canvas, pts)
+    assert vals.tobytes() == _ref_sample_points(canvas, pts.T).tobytes()
+
+
+def test_corner_offsets_survive_pickle_and_follow_a_replaced_raster():
+    # run_batch ships the canvas to worker processes
+    canvas = make_track("circle", {"radius": 10.0}, margin=5.0)
+    h, w = canvas.raster.shape
+    assert canvas._corners.shape == (2, 2, 1)
+    assert canvas._corners.ravel().tolist() == [0, 1, w, w + 1]
+    pts = np.array([[12.3, 4.4, 20.0], [13.1, 8.8, 2.6]])
+    shipped = pickle.loads(pickle.dumps(canvas))
+    assert shipped._corners.tobytes() == canvas._corners.tobytes()
+    assert sample_points(shipped, pts).tobytes() == sample_points(canvas, pts).tobytes()
+    wider = dataclasses.replace(canvas, raster=np.tile(canvas.raster, 2))
+    assert wider._corners.ravel().tolist() == [0, 1, 2 * w, 2 * w + 1]
+    assert sample_points(wider, pts).tobytes() == _ref_sample_points(wider, pts.T).tobytes()
 
 
 def test_read_pgm_rejects_non_pgm(tmp_path):

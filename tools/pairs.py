@@ -9,10 +9,11 @@ side from its own checkout, for the benchmark's ``run_seconds`` and without
 the tracer, as the benchmark measures. Pair k of a workload runs both sides
 with ``--seed S + k``; the parent runs first in even pairs and second in odd ones,
 so drift in the machine's speed falls on both sides. Every finished pair is
-written to ``--out`` at once: the machine, the command, the protocol, the
-claim, each side's raw result line and, per workload and metric, each side's
-median and quartiles, the median ratio (change / parent) and the pairs the
-change won. A claim names one of the benchmark's end-to-end metrics; with
+written to ``--out`` at once: the machine (with the BLAS that numpy links,
+whose routines decide the bits of its products), the command, the protocol,
+the claim, each side's raw result line and, per workload and metric, each
+side's median and quartiles, the median ratio (change / parent) and the pairs
+the change won. A claim names one of the benchmark's end-to-end metrics; with
 ``--claim`` the file also says whether it holds: the change wins at least
 nine tenths of the pairs, and the medians differ by more than the distance
 between the parent's quartiles. Exits 0 when every run
@@ -159,11 +160,13 @@ def main(argv: list[str]) -> int:
             print(f"cannot unpack {args.rev}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         report = {
             "change": args.change,
             "parent_commit": commit,
             "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                        "numpy": np.__version__, "platform": platform.platform()},
+                        "numpy": np.__version__, "platform": platform.platform(),
+                        "blas": {k: blas.get(k) for k in ("name", "version")}},
             "command": " ".join(["python3 bench/run.py --workload W --seed S",
                                  *RUN_ARGS]),
             "protocol": "pairs alternate which side runs first (even index: parent "
