@@ -410,19 +410,6 @@ class CalibrationResult:
     magnitude_source: str  # "config" or "measured"
 
 
-def _probe_mean_error(cfg: TrialConfig, canvas, a_p: float) -> float:
-    pose = cfg.sim.start_pose(canvas)
-    first = int(round(PROBE_SETTLE / cfg.sim.dt))
-    total = int(round((PROBE_SETTLE + PROBE_MEASURE) / cfg.sim.dt))
-    acc = 0.0  # summed in tick order: sum() or np.mean would change the bits
-    for i in range(total):
-        readout = simenv.sample_ldr(canvas, pose, cfg.layout)
-        e, _, _, _, pose = _reflex_step(readout, a_p, cfg.reflex, pose, cfg.sim)
-        if i >= first:
-            acc += e
-    return acc / (total - first)
-
-
 def calibrate(cfg: TrialConfig,
               use_measured_magnitude: bool = False) -> CalibrationResult:
     """Measure dE/dA_P on a straight segment and derive the loop gain.
@@ -432,6 +419,9 @@ def calibrate(cfg: TrialConfig,
     +/- ``PROBE_AMPLITUDE``; the central difference of the mean settled error
     gives the plant sensitivity. The suggested loop gain takes the opposite
     sign (so updates descend E^2) and, by default, the configured magnitude.
+    The two runs are lanes of one loop: each tick reads both lanes' sensors
+    in one ``simenv.sample_ldr`` gather, and each lane takes its own reflex
+    step and sums its own error in tick order, as a run alone would.
 
     Raises CalibrationError when the probe leaves the canvas or when the
     response |e_plus - e_minus| falls below ``MIN_PROBE_RESPONSE`` (1 GSV),
@@ -439,11 +429,22 @@ def calibrate(cfg: TrialConfig,
     """
     length = cfg.sim.v0 * (PROBE_SETTLE + PROBE_MEASURE) * 1.5 + 20.0
     canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
+    first = int(round(PROBE_SETTLE / cfg.sim.dt))
+    total = int(round((PROBE_SETTLE + PROBE_MEASURE) / cfg.sim.dt))
+    a_p = (+PROBE_AMPLITUDE, -PROBE_AMPLITUDE)
+    poses = [cfg.sim.start_pose(canvas)] * 2
+    acc = [0.0, 0.0]  # summed in tick order: sum() or np.mean would change the bits
     try:
-        e_plus = _probe_mean_error(cfg, canvas, +PROBE_AMPLITUDE)
-        e_minus = _probe_mean_error(cfg, canvas, -PROBE_AMPLITUDE)
+        for i in range(total):
+            readouts = simenv.sample_ldr(canvas, poses, cfg.layout)
+            for k, readout in enumerate(readouts):
+                e, _, _, _, poses[k] = _reflex_step(readout, a_p[k], cfg.reflex,
+                                                    poses[k], cfg.sim)
+                if i >= first:
+                    acc[k] += e
     except OutOfBoundsError as exc:
         raise CalibrationError(f"probe left the canvas: {exc}") from exc
+    e_plus, e_minus = (a / (total - first) for a in acc)
     plant_gain = looplib.estimate_loop_gain(e_plus, e_minus, PROBE_AMPLITUDE)
     response = abs(e_plus - e_minus)
     if not (np.isfinite(plant_gain) and response >= MIN_PROBE_RESPONSE):

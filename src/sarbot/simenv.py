@@ -190,7 +190,7 @@ def sample_points(canvas: Canvas, pts: np.ndarray) -> np.ndarray:
     One gather serves all N points: the four corners of every point are
     read with a single ``take`` from the flattened raster. ``sample_camera``
     calls it once per control tick for both sensors, ``sample_ldr`` for the
-    ground sensors alone.
+    ground sensors alone, of one pose or of every lane at once.
 
     The calls are the cheapest forms of the same arithmetic, since the
     per-call cost of numpy dominates at N = 942: one per-axis ``min`` and
@@ -202,7 +202,8 @@ def sample_points(canvas: Canvas, pts: np.ndarray) -> np.ndarray:
     h, w = r.shape
     p = pts / canvas.scale - 0.5
     (x_min, y_min), (x_max, y_max) = p.min(axis=1).tolist(), p.max(axis=1).tolist()
-    if x_min < 0.0 or y_min < 0.0 or x_max > w - 1.0 or y_max > h - 1.0:
+    # written so that a NaN, for which every comparison is false, is off-canvas
+    if not (x_min >= 0.0 and y_min >= 0.0 and x_max <= w - 1.0 and y_max <= h - 1.0):
         raise OutOfBoundsError("sample point outside the canvas")
     lo = np.floor(p)
     i = lo.astype(np.intp)
@@ -239,7 +240,7 @@ def _ldr_readout(vals: np.ndarray) -> LdrReadout:
     return LdrReadout(g=g[:3], g_star=g[3:])
 
 
-def sample_ldr(canvas: Canvas, pose: RobotPose, layout: SensorLayout) -> LdrReadout:
+def sample_ldr(canvas: Canvas, pose, layout: SensorLayout) -> LdrReadout | list[LdrReadout]:
     """Read the six ground sensors alone, from the layout's ground-sensor
     columns.
 
@@ -248,10 +249,19 @@ def sample_ldr(canvas: Canvas, pose: RobotPose, layout: SensorLayout) -> LdrRead
     background reads 0. Only the loop-gain calibration probe, which steers
     by the ground sensors and has no camera, calls this; a trial's ticks
     read both sensors through :func:`sample_camera`.
+
+    ``pose`` is one :class:`RobotPose`, read into one ``LdrReadout``, or a
+    sequence of poses (lanes), read into a list of readouts in one gather
+    over every lane's points. Each lane's readout has the bits its pose
+    read alone gives; a point of any lane off the canvas raises
+    ``OutOfBoundsError``.
     """
-    return _ldr_readout(
-        sample_points(canvas, _to_world(pose, layout._pts[:, layout._n_cam :]))
-    )
+    lanes = [pose] if isinstance(pose, RobotPose) else pose
+    pts = layout._pts[:, layout._n_cam :]
+    vals = sample_points(canvas, np.concatenate([_to_world(p, pts) for p in lanes], axis=1))
+    n = pts.shape[1]
+    readouts = [_ldr_readout(vals[k * n : (k + 1) * n]) for k in range(len(lanes))]
+    return readouts[0] if isinstance(pose, RobotPose) else readouts
 
 
 def sample_camera(
@@ -459,17 +469,26 @@ def make_track(
     seed points. The spline's seeds are the dense point cloud its field
     measures the distance to; the other kinds seed with their ``path``
     polyline, whose points lie on the curve, and add half the polyline's
-    largest measured gap to the reach. Every other pixel gets an infinite
-    distance. The antialiased edge reaches background exactly at a distance
-    of ``width / 2 + scale / 2``, and ``_band`` clips every distance beyond
-    that to the same background value, so the raster is the one a field
-    over the whole canvas would give, byte for byte.
+    largest measured gap to the reach. ``_band`` shades only those pixels;
+    every other pixel takes the scalar ``_band(inf)``, the same IEEE
+    operations on an infinite distance and so the same bits. Within the
+    near pixels, each of the rounded rectangle's eight pieces is measured
+    only on the pixels inside its bounding box widened by the reach, and
+    the spline's tree query stops at the reach; a pixel that no piece (or
+    no cloud point) is near gets an infinite distance. The antialiased edge
+    reaches background exactly at a distance of ``width / 2 + scale / 2``,
+    half a pixel inside the reach, and ``_band`` rises with the distance
+    and clips every distance beyond that to the same background value. So
+    a pixel short of background is measured by the piece nearest to it,
+    and the raster is the one a field over the whole canvas would give,
+    byte for byte.
     """
     params = dict(params or {})
     if width <= 0 or scale <= 0 or margin <= 0:
         raise ConfigError("track width, scale and margin must be positive")
     if not (0 <= path_value < bg_value < 256):
         raise ConfigError("need 0 <= path_value < bg_value < 256")
+    reach = width / 2 + scale  # around the line, the pixels whose field is measured
 
     if kind == "straight":
         length = float(params.pop("length", 200.0))
@@ -509,33 +528,33 @@ def make_track(
         rbr, rtr, rtl, rbl = radii
         shape = _canvas_shape(rw + 2 * margin, rh + 2 * margin, scale)
         pi = math.pi
+        # the loop's eight pieces in path order, piece k running from ends[k]
+        # to ends[k + 1]: the bottom side, the bottom-right arc, the right
+        # side and so on. Each piece is monotonic in x and in y, so its two
+        # ends span its bounding box.
+        ends = [(xl + rbl, yb), (xr - rbr, yb), (xr, yb + rbr), (xr, yt - rtr),
+                (xr - rtr, yt), (xl + rtl, yt), (xl, yt - rtl), (xl, yb + rbl)]
+        arcs = [(xr - rbr, yb + rbr, rbr, -pi / 2, 0.0),
+                (xr - rtr, yt - rtr, rtr, 0.0, pi / 2),
+                (xl + rtl, yt - rtl, rtl, pi / 2, pi),
+                (xl + rbl, yb + rbl, rbl, pi, 1.5 * pi)]
+        pieces = [piece for k, arc in enumerate(arcs) for piece in
+                  ((_seg_dist, (*ends[2 * k], *ends[2 * k + 1])), (_arc_dist, arc))]
+        boxes = [(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+                 for (ax, ay), (bx, by) in zip(ends, ends[1:] + ends[:1])]
 
         def field(x, y):
-            return np.minimum.reduce([
-                _seg_dist(x, y, xl + rbl, yb, xr - rbr, yb),  # bottom
-                _seg_dist(x, y, xr, yb + rbr, xr, yt - rtr),  # right
-                _seg_dist(x, y, xr - rtr, yt, xl + rtl, yt),  # top
-                _seg_dist(x, y, xl, yt - rtl, xl, yb + rbl),  # left
-                _arc_dist(x, y, xr - rbr, yb + rbr, rbr, -pi / 2, 0.0),
-                _arc_dist(x, y, xr - rtr, yt - rtr, rtr, 0.0, pi / 2),
-                _arc_dist(x, y, xl + rtl, yt - rtl, rtl, pi / 2, pi),
-                _arc_dist(x, y, xl + rbl, yb + rbl, rbl, pi, 1.5 * pi),
-            ])
+            # each piece on the pixels within the reach of its box alone
+            dist = np.full(x.shape, np.inf)
+            for (piece, args), (x0, y0, x1, y1) in zip(pieces, boxes):
+                k = np.flatnonzero((x >= x0 - reach) & (x <= x1 + reach)
+                                   & (y >= y0 - reach) & (y <= y1 + reach))
+                dist[k] = np.minimum(dist[k], piece(x[k], y[k], *args))
+            return dist
 
         start = ((xl + rbl + xr - rbr) / 2.0, yb, 0.0)
-        sp = scale
-        path = np.concatenate(
-            [
-                _seg_points(xl + rbl, yb, xr - rbr, yb, sp),
-                _arc_points(xr - rbr, yb + rbr, rbr, -pi / 2, 0.0, sp),
-                _seg_points(xr, yb + rbr, xr, yt - rtr, sp),
-                _arc_points(xr - rtr, yt - rtr, rtr, 0.0, pi / 2, sp),
-                _seg_points(xr - rtr, yt, xl + rtl, yt, sp),
-                _arc_points(xl + rtl, yt - rtl, rtl, pi / 2, pi, sp),
-                _seg_points(xl, yt - rtl, xl, yb + rbl, sp),
-                _arc_points(xl + rbl, yb + rbl, rbl, pi, 1.5 * pi, sp),
-            ]
-        )
+        polyline = {_seg_dist: _seg_points, _arc_dist: _arc_points}
+        path = np.concatenate([polyline[piece](*args, scale) for piece, args in pieces])
     elif kind == "spline":
         points = params.pop("points", None)
         if points is None or len(points) < 4:
@@ -563,7 +582,8 @@ def make_track(
         tree = cKDTree(cloud)
 
         def field(x, y):
-            return tree.query(np.stack([x, y], axis=1))[0]
+            # a pixel beyond the reach reads inf, which shades as background
+            return tree.query(np.stack([x, y], axis=1), distance_upper_bound=reach)[0]
 
         tangent = poly[1] - poly[0]
         start = (poly[0][0], poly[0][1], math.atan2(tangent[1], tangent[0]))
@@ -574,16 +594,16 @@ def make_track(
     if params:
         raise ConfigError(f"unknown track params for {kind}: {sorted(params)}")
     if kind == "spline":
-        near = _near(cloud, width / 2 + scale, scale, shape)
+        near = _near(cloud, reach, scale, shape)
     else:
         # the field measures the distance to the curve itself, and each curve
         # point lies within about half a gap of a path point
         gap = np.hypot(*np.diff(path, axis=0).T).max()
-        near = _near(path, width / 2 + scale + gap / 2, scale, shape)
+        near = _near(path, reach + gap / 2, scale, shape)
     iy, ix = np.nonzero(near)
-    dist = np.full(shape, np.inf)
-    dist[iy, ix] = field((ix + 0.5) * scale, (iy + 0.5) * scale)
-    raster = _band(dist, width, scale, path_value, bg_value)
+    raster = np.full(shape, _band(np.inf, width, scale, path_value, bg_value))
+    raster[iy, ix] = _band(field((ix + 0.5) * scale, (iy + 0.5) * scale),
+                           width, scale, path_value, bg_value)
     return Canvas(
         raster=raster,
         scale=scale,

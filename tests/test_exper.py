@@ -5,12 +5,13 @@ from dataclasses import fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sarbot import config as configlib
 from sarbot import exper, netcore, simenv
-from sarbot.errors import CalibrationError, ConfigError, NumericError
+from sarbot import loop as looplib
+from sarbot.errors import CalibrationError, ConfigError, NumericError, OutOfBoundsError
 from sarbot.exper import (
     SimParams,
     SuccessTracker,
@@ -321,6 +322,82 @@ def test_calibrate_stronger_reflex_shrinks_measured_gain():
     weak = exper.calibrate(replace(cfg, reflex=replace(cfg.reflex, reflex_gain=0.04)))
     strong = exper.calibrate(replace(cfg, reflex=replace(cfg.reflex, reflex_gain=0.08)))
     assert abs(strong.plant_gain) < abs(weak.plant_gain)
+
+
+# Reference: one probe run alone, the per-run loop calibrate ran before its
+# two runs became lanes of one loop.
+
+
+def _ref_probe_mean_error(cfg, canvas, a_p):
+    pose = cfg.sim.start_pose(canvas)
+    first = int(round(exper.PROBE_SETTLE / cfg.sim.dt))
+    total = int(round((exper.PROBE_SETTLE + exper.PROBE_MEASURE) / cfg.sim.dt))
+    acc = 0.0
+    for i in range(total):
+        readout = simenv.sample_ldr(canvas, pose, cfg.layout)
+        e, _, _, _, pose = exper._reflex_step(readout, a_p, cfg.reflex, pose, cfg.sim)
+        if i >= first:
+            acc += e
+    return acc / (total - first)
+
+
+@st.composite
+def probe_configs(draw):
+    """The reference config with the reflex, the ground-sensor layout and the
+    track's look drawn; narrow margins and negative reflex gains send some
+    probe runs off the canvas, and weak contrast leaves some unmeasurable."""
+    cfg = quick_cfg(rule=None)
+    k1 = draw(st.floats(0.1, 3.0))
+    k2 = k1 + draw(st.floats(0.1, 3.0))
+    k3 = k2 + draw(st.floats(0.1, 3.0))
+    reflex = replace(cfg.reflex, reflex_gain=draw(st.floats(-0.02, 0.3)), k=(k1, k2, k3))
+    l1 = draw(st.floats(0.5, 6.0))
+    l2 = l1 + draw(st.floats(0.1, 3.0))
+    l3 = l2 + draw(st.floats(0.1, 3.0))
+    layout = simenv.SensorLayout(ldr_lateral=(l1, l2, l3),
+                                 ldr_fov_radius=draw(st.floats(0.2, 2.5)))
+    path_value = draw(st.floats(0.0, 250.0))
+    track = replace(cfg.track, width=draw(st.floats(0.5, 5.0)),
+                    margin=draw(st.floats(8.0, 40.0)), path_value=path_value,
+                    bg_value=draw(st.floats(path_value, 255.99, exclude_min=True)))
+    return replace(cfg, reflex=reflex, layout=layout, track=track)
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe_configs())
+def test_probe_lanes_keep_the_bits_of_runs_alone(cfg):
+    # the probe's straight track, as calibrate builds it
+    length = cfg.sim.v0 * (exper.PROBE_SETTLE + exper.PROBE_MEASURE) * 1.5 + 20.0
+    canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
+    try:
+        e_plus = _ref_probe_mean_error(cfg, canvas, +exper.PROBE_AMPLITUDE)
+        e_minus = _ref_probe_mean_error(cfg, canvas, -exper.PROBE_AMPLITUDE)
+    except OutOfBoundsError:
+        event("a run leaves the canvas")
+        with pytest.raises(CalibrationError,
+                           match="^probe left the canvas: sample point outside the canvas$"):
+            exper.calibrate(cfg)
+        return
+    plant_gain = looplib.estimate_loop_gain(e_plus, e_minus, exper.PROBE_AMPLITUDE)
+    if not abs(e_plus - e_minus) >= exper.MIN_PROBE_RESPONSE:
+        event("no measurable response")
+        with pytest.raises(CalibrationError, match="^probe produced no measurable"):
+            exper.calibrate(cfg)
+        return
+    event("calibrated")
+    for measured in (False, True):
+        res = exper.calibrate(cfg, use_measured_magnitude=measured)
+        magnitude = abs(plant_gain) if measured else cfg.loop_gain_magnitude
+        assert res.plant_gain.hex() == plant_gain.hex()
+        assert res.loop_gain.hex() == (-math.copysign(magnitude, plant_gain)).hex()
+
+
+def test_a_probe_on_a_5_cm_margin_leaves_the_canvas():
+    cfg = quick_cfg(rule=None)
+    cfg = replace(cfg, track=replace(cfg.track, margin=5.0))
+    with pytest.raises(CalibrationError,
+                       match="^probe left the canvas: sample point outside the canvas$"):
+        exper.calibrate(cfg)
 
 
 def test_sim_params_validation():

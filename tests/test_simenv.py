@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -559,6 +560,23 @@ def test_out_of_bounds_sampling_raises():
         sample_ldr(canvas, RobotPose(10.0, 0.5, -math.pi / 2), layout)
 
 
+def test_a_nan_point_or_pose_is_off_the_canvas():
+    # every comparison with NaN is false: a NaN coordinate must fail the
+    # bounds test, not reach the integer cast and the gather behind it
+    canvas = blank_canvas(side=20.0)
+    nan = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in ([[nan, 3.0], [3.0, 3.0]], [[3.0, 3.0], [3.0, nan]]):
+            with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
+                sample_points(canvas, np.array(pts))
+        for pose in (RobotPose(nan, 10.0, 0.0), RobotPose(10.0, 10.0, nan)):
+            with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
+                sample_ldr(canvas, pose, SensorLayout())
+            with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
+                sample_ldr(canvas, [RobotPose(10.0, 10.0, 0.0), pose], SensorLayout())
+
+
 # Reference: the per-axis lookup over (..., 2) points, with each sensor
 # read by its own call, as the sensors were read before one gather served
 # both.
@@ -659,6 +677,49 @@ def test_one_gather_equals_the_per_axis_lookup(case, supersample):
     else:
         readout = sample_ldr(canvas, pose, layout)
         assert np.concatenate([readout.g, readout.g_star]).tobytes() == ref_g.tobytes()
+
+
+def _ldr_bytes(readout):
+    return np.concatenate([readout.g, readout.g_star]).tobytes()
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 5])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), touch=st.sampled_from(["none", "column", "row"]),
+       off=st.booleans())
+def test_a_lane_gather_equals_the_per_pose_calls(lanes, seed, touch, off):
+    rng = np.random.default_rng(seed)
+    scale = 0.25  # a power of two: the touching lane's points land exactly
+    h, w = rng.integers(80, 160, 2)
+    canvas = Canvas(raster=rng.uniform(0.0, 256.0, (h, w)), scale=scale,
+                    start=(0.0, 0.0, 0.0), track_kind="random")
+    layout = SensorLayout()
+    # every ground-sensor point lies at least 9 cm from these poses
+    poses = [RobotPose(rng.uniform(9.0, w * scale - 9.0), rng.uniform(9.0, h * scale - 9.0),
+                       rng.uniform(-math.pi, math.pi)) for _ in range(lanes)]
+    k = int(rng.integers(lanes))
+    # heading +x, the sensor disks reach ldr_forward + r ahead and
+    # ldr_lateral[2] + r to the left, which lands exactly on the last
+    # pixel column or row and sends the whole gather to the clamped corners
+    reach = (layout.ldr_forward + layout.ldr_fov_radius,
+             layout.ldr_lateral[2] + layout.ldr_fov_radius)
+    if touch == "column":
+        poses[k] = RobotPose((w - 0.5) * scale - reach[0], h * scale / 2, 0.0)
+    elif touch == "row":
+        poses[k] = RobotPose(w * scale / 2, (h - 0.5) * scale - reach[1], 0.0)
+    if touch != "none":
+        axis, last = (0, w - 1.0) if touch == "column" else (1, h - 1.0)
+        p = simenv._to_world(poses[k], layout._pts[:, layout._n_cam:]) / scale - 0.5
+        assert p[axis].max() == last
+    if off:
+        poses[int(rng.integers(lanes))] = RobotPose(w * scale + 3.0, h * scale / 2, 0.0)
+        with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
+            sample_ldr(canvas, poses, layout)
+        return
+    readouts = sample_ldr(canvas, poses, layout)
+    assert len(readouts) == lanes
+    for readout, pose in zip(readouts, poses):
+        assert _ldr_bytes(readout) == _ldr_bytes(sample_ldr(canvas, pose, layout))
 
 
 def test_points_on_the_first_and_last_pixel():

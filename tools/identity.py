@@ -78,6 +78,14 @@ CASES = {
         "trial": {"max_duration": 60.0, "seed": 1},
     }),
     "track-preview": ("track-preview", {"track": SPLINE}),
+    # a rounded rectangle with uneven corners, whose eight pieces' distance
+    # fields are each evaluated only near their own piece
+    "rect-preview": ("track-preview", {"track": {
+        "kind": "rounded_rect",
+        "params": {"rect_width": 110.0, "rect_height": 80.0,
+                   "radii": [3.0, 25.0, 7.0, 19.0]},
+        "width": 3.0, "scale": 0.3, "path_value": 17, "bg_value": 241,
+    }}),
     "batch": ("batch", {
         "trial": {"max_duration": 60.0},
         "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
