@@ -5,6 +5,8 @@ Exit codes: 0 success (trial reached the success state), 2 no success,
 3 aborted (a sensor left the canvas or the line left the camera's view),
 4 configuration error, 1 calibration failure. Run directories go under
 --out, else $SARBOT_OUT_ROOT, else the config's output.dir.
+Each override flag names its config leaf as its dest (--seed: trial.seed);
+main resolves the config once and hands it to the command.
 """
 
 from __future__ import annotations
@@ -29,16 +31,21 @@ EXIT_CALIBRATION = 1
 OUT_ROOT_ENV = "SARBOT_OUT_ROOT"
 
 
+def rules(text: str) -> list[str]:
+    return text.split(",")
+
+
+def etas(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="YAML config file")
-    parser.add_argument("--seed", type=int, help="override trial.seed")
+    parser.add_argument("--seed", dest="trial.seed", metavar="SEED", type=int,
+                        help="override trial.seed")
     parser.add_argument("--out", metavar="DIR", help="output root directory")
-    parser.add_argument(
-        "--trace",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="write per-tick trace artifacts",
-    )
+    parser.add_argument("--trace", dest="output.trace", action=argparse.BooleanOptionalAction,
+                        help="write per-tick trace artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,28 +58,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trial = sub.add_parser("trial", help="run a single trial")
     _add_common(p_trial)
-    p_trial.add_argument(
-        "--rule", choices=["gdm", "localprop", "sar", "none"], help="override rule.kind"
-    )
-    p_trial.add_argument("--eta", type=float, help="override rule.eta")
+    p_trial.add_argument("--rule", dest="rule.kind",
+                         choices=["gdm", "localprop", "sar", "none"],
+                         help="override rule.kind")
+    p_trial.add_argument("--eta", dest="rule.eta", metavar="ETA", type=float,
+                         help="override rule.eta")
 
     p_batch = sub.add_parser("batch", help="run a seeded batch grid")
     _add_common(p_batch)
-    p_batch.add_argument("--rules", help="comma-separated rules override")
-    p_batch.add_argument("--etas", help="comma-separated learning rates override")
-    p_batch.add_argument("--seeds", type=int, help="number of seeds override")
-    p_batch.add_argument("--jobs", type=int, help="parallel worker processes")
+    p_batch.add_argument("--rules", dest="batch.rules", metavar="RULES", type=rules,
+                         help="comma-separated rules override")
+    p_batch.add_argument("--etas", dest="batch.etas", metavar="ETAS", type=etas,
+                         help="comma-separated learning rates override")
+    p_batch.add_argument("--seeds", dest="batch.seeds", metavar="SEEDS", type=int,
+                         help="number of seeds override")
+    p_batch.add_argument("--jobs", dest="batch.jobs", metavar="JOBS", type=int,
+                         help="parallel worker processes")
 
     p_cal = sub.add_parser("calibrate", help="measure the reflex loop gain")
     _add_common(p_cal)
-    p_cal.add_argument(
-        "--write", metavar="PATH", help="write a derived config with the result"
-    )
-    p_cal.add_argument(
-        "--use-measured-magnitude",
-        action="store_true",
-        help="take |loop gain| from the probe instead of the config",
-    )
+    p_cal.add_argument("--write", metavar="PATH", help="write a derived config with the result")
+    p_cal.add_argument("--use-measured-magnitude", action="store_true",
+                       help="take |loop gain| from the probe instead of the config")
 
     p_prev = sub.add_parser("track-preview", help="render the track canvas as PGM")
     _add_common(p_prev)
@@ -99,30 +106,14 @@ def _out_root(args, cfg: dict) -> Path:
 
 def _load(args) -> dict:
     overrides: dict = {}
-    if getattr(args, "rule", None) is not None:
-        overrides.setdefault("rule", {})["kind"] = args.rule
-    if getattr(args, "eta", None) is not None:
-        overrides.setdefault("rule", {})["eta"] = args.eta
-    if args.seed is not None:
-        overrides.setdefault("trial", {})["seed"] = args.seed
-    if getattr(args, "rules", None):
-        overrides.setdefault("batch", {})["rules"] = args.rules.split(",")
-    if getattr(args, "etas", None):
-        overrides.setdefault("batch", {})["etas"] = [
-            float(v) for v in args.etas.split(",")
-        ]
-    if getattr(args, "seeds", None) is not None:
-        overrides.setdefault("batch", {})["seeds"] = args.seeds
-    if getattr(args, "jobs", None) is not None:
-        overrides.setdefault("batch", {})["jobs"] = args.jobs
-    if args.trace is not None:
-        overrides.setdefault("output", {})["trace"] = args.trace
+    for leaf, value in vars(args).items():
+        if "." in leaf and value is not None:
+            configlib._put(overrides, leaf, value)
     return configlib.load_config(args.config, overrides)
 
 
-def cmd_trial(args) -> int:
-    cfg = _load(args)
-    record = exper.run_trial(configlib.to_trial_config(cfg))
+def cmd_trial(args, cfg: dict, trial_cfg: exper.TrialConfig) -> int:
+    record = exper.run_trial(trial_cfg)
     digest = configlib.config_hash(cfg)
     run_dir = _make_run_dir(_out_root(args, cfg), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")
@@ -146,9 +137,7 @@ def cmd_trial(args) -> int:
     return EXIT_OK if record.succeeded else EXIT_NO_SUCCESS
 
 
-def cmd_batch(args) -> int:
-    cfg = _load(args)
-    trial_cfg = configlib.to_trial_config(cfg)
+def cmd_batch(args, cfg: dict, trial_cfg: exper.TrialConfig) -> int:
     # build and calibrate first, so that a failure leaves no run directory
     canvas = trial_cfg.track.build()
     if trial_cfg.reflex.loop_gain is None:
@@ -178,9 +167,7 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load(args)
-    trial_cfg = configlib.to_trial_config(cfg)
+def cmd_calibrate(args, cfg: dict, trial_cfg: exper.TrialConfig) -> int:
     result = exper.calibrate(
         trial_cfg, use_measured_magnitude=args.use_measured_magnitude
     )
@@ -190,17 +177,13 @@ def cmd_calibrate(args) -> int:
         f"(sign from probe, magnitude from {result.magnitude_source})"
     )
     if args.write:
-        derived = configlib.load_config(
-            args.config, {"loop": {"loop_gain": float(result.loop_gain)}}
-        )
-        configlib.dump_config(derived, args.write)
+        cfg["loop"]["loop_gain"] = float(result.loop_gain)
+        configlib.dump_config(cfg, args.write)
         print(f"wrote {args.write}")
     return EXIT_OK
 
 
-def cmd_track_preview(args) -> int:
-    cfg = _load(args)
-    trial_cfg = configlib.to_trial_config(cfg)
+def cmd_track_preview(args, cfg: dict, trial_cfg: exper.TrialConfig) -> int:
     canvas = trial_cfg.track.build()
     if args.file:
         target = Path(args.file)
@@ -220,8 +203,7 @@ def cmd_track_preview(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "trial": cmd_trial,
         "batch": cmd_batch,
@@ -229,7 +211,8 @@ def main(argv=None) -> int:
         "track-preview": cmd_track_preview,
     }
     try:
-        return handlers[args.command](args)
+        cfg = _load(args)
+        return handlers[args.command](args, cfg, configlib.to_trial_config(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -182,6 +182,10 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
             if not isinstance(val, dict):
                 raise ConfigError(f"{here}: expected a mapping")
             _merge(base[key], val, here)
+            # a source naming a track kind but no params gets that kind's own
+            kind = val.get("kind")
+            if here == "track" and "params" not in val and kind in simenv.TRACK_KINDS:
+                base[key]["params"] = copy.deepcopy(simenv.TRACK_PARAMS[kind])
         else:
             base[key] = val
 

@@ -3,6 +3,7 @@ which share one reflex step; success metrics, seeded batches, artifact writers."
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import deque
@@ -19,14 +20,8 @@ from .errors import CalibrationError, ConfigError, NumericError, OutOfBoundsErro
 @dataclass
 class TrackSpec:
     kind: str = "rounded_rect"
-    # the reference track: a 110 x 80 cm rectangle with rounded corners
     params: dict = field(
-        default_factory=lambda: {
-            "rect_width": 110.0,
-            "rect_height": 80.0,
-            "radii": [12.0, 12.0, 18.0, 18.0],
-        }
-    )
+        default_factory=lambda: copy.deepcopy(simenv.TRACK_PARAMS["rounded_rect"]))
     width: float = 2.0
     scale: float = 0.25
     margin: float = 25.0
@@ -587,21 +582,23 @@ def _fmt(v) -> str:
     return f"{float(v):.10g}"
 
 
+def _write_csv(path, columns, rows) -> None:
+    """A header line, then one line per row of already formatted cells."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
+
+
 def write_trace_csv(record: TrialRecord, path) -> None:
     arrays = (record.t, record.e, record.ebar, record.a_r, record.a_p,
               record.mc, record.kappa)
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for vals in zip(*arrays):
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
+    _write_csv(path, TRACE_COLUMNS, (map(_fmt, vals) for vals in zip(*arrays)))
 
 
 def write_distances_csv(record: TrialRecord, path) -> None:
-    n_layers = record.distances.shape[1]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"l{i + 1}" for i in range(n_layers)) + "\n")
-        for t, row in zip(record.distance_t, record.distances):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    columns = ["t"] + [f"l{i + 1}" for i in range(record.distances.shape[1])]
+    _write_csv(path, columns, (map(_fmt, (t, *row))
+                               for t, row in zip(record.distance_t, record.distances)))
 
 
 def heatmap_image(heatmap: np.ndarray) -> np.ndarray:
@@ -657,17 +654,12 @@ def write_trial_artifacts(record: TrialRecord, out_dir, config_hash: str = "") -
     )
 
 
+def _cell(v) -> str:
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
 def _write_dict_csv(rows, columns, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                    for c in columns
-                )
-                + "\n"
-            )
+    _write_csv(path, columns, ([_cell(row[c]) for c in columns] for row in rows))
 
 
 def write_batch_artifacts(result: BatchResult, out_dir) -> None:

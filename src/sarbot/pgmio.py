@@ -39,7 +39,12 @@ def read_pgm(path) -> np.ndarray:
             pos += 1
         tokens.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise ConfigError(f"{path}: malformed PGM header") from None
+    if width < 1 or height < 1 or len(raw) - pos < width * height:
+        raise ConfigError(f"{path}: {len(raw) - pos} bytes of pixels for {width}x{height}")
     if maxval != 255:
         raise ConfigError(f"{path}: unsupported maxval {maxval}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)

@@ -20,7 +20,16 @@ from .errors import ConfigError, OutOfBoundsError
 from .loop import LdrReadout
 from . import pgmio
 
-TRACK_KINDS = ("straight", "circle", "rounded_rect", "spline")
+# each track kind's default params; the spline has no default points
+TRACK_PARAMS = {
+    "straight": {"length": 200.0},
+    "circle": {"radius": 40.0},
+    # the reference track: a 110 x 80 cm rectangle with rounded corners
+    "rounded_rect": {"rect_width": 110.0, "rect_height": 80.0,
+                     "radii": [12.0, 12.0, 18.0, 18.0]},
+    "spline": {"samples_per_segment": 64},
+}
+TRACK_KINDS = tuple(TRACK_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,8 @@ def _snap(v: float, scale: float) -> float:
 def _seg_dist(px, py, ax, ay, bx, by):
     vx, vy = bx - ax, by - ay
     ll = vx * vx + vy * vy
-    t = np.clip(((px - ax) * vx + (py - ay) * vy) / ll, 0.0, 1.0)
+    # a zero-length segment (a side that snapping collapsed) is its one point
+    t = np.clip(((px - ax) * vx + (py - ay) * vy) / ll, 0.0, 1.0) if ll else 0.0
     return np.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 
@@ -454,7 +464,7 @@ def make_track(
 ) -> Canvas:
     """Rasterize a track onto a fresh canvas and return it with a start pose.
 
-    Kinds and their params:
+    Kinds and their params, which default to ``TRACK_PARAMS[kind]``:
 
     * ``straight``: {length} -- horizontal segment, start near the left end.
     * ``circle``: {radius} -- CCW loop, start at the bottom heading +x.
@@ -483,7 +493,7 @@ def make_track(
     and the raster is the one a field over the whole canvas would give,
     byte for byte.
     """
-    params = dict(params or {})
+    params = {**TRACK_PARAMS.get(kind, {}), **(params or {})}
     if width <= 0 or scale <= 0 or margin <= 0:
         raise ConfigError("track width, scale and margin must be positive")
     if not (0 <= path_value < bg_value < 256):
@@ -491,7 +501,7 @@ def make_track(
     reach = width / 2 + scale  # around the line, the pixels whose field is measured
 
     if kind == "straight":
-        length = float(params.pop("length", 200.0))
+        length = float(params.pop("length"))
         y0 = _snap(margin, scale)
         x0, x1 = margin, margin + length
         shape = _canvas_shape(length + 2 * margin, 2 * margin, scale)
@@ -502,7 +512,7 @@ def make_track(
         start = (x0 + 5.0, y0, 0.0)
         path = _seg_points(x0, y0, x1, y0, scale)
     elif kind == "circle":
-        r = float(params.pop("radius", 40.0))
+        r = float(params.pop("radius"))
         if r <= width:
             raise ConfigError("circle radius must exceed the line width")
         cx = _snap(margin + r, scale)
@@ -516,9 +526,9 @@ def make_track(
         start = (cx, cy - r, 0.0)
         path = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
     elif kind == "rounded_rect":
-        rw = float(params.pop("rect_width", 110.0))
-        rh = float(params.pop("rect_height", 80.0))
-        radii = [float(v) for v in params.pop("radii", [12.0, 12.0, 18.0, 18.0])]
+        rw = float(params.pop("rect_width"))
+        rh = float(params.pop("rect_height"))
+        radii = [float(v) for v in params.pop("radii")]
         if len(radii) != 4 or any(r <= 0 for r in radii):
             raise ConfigError("rounded_rect needs 4 positive corner radii")
         if max(radii) * 2 >= min(rw, rh):
@@ -559,7 +569,7 @@ def make_track(
         points = params.pop("points", None)
         if points is None or len(points) < 4:
             raise ConfigError("spline track needs at least 4 control points")
-        samples = int(params.pop("samples_per_segment", 64))
+        samples = int(params.pop("samples_per_segment"))
         poly = _catmull_rom(np.asarray(points, dtype=float), samples)
         if _self_intersects(poly):
             raise ConfigError("spline track self-intersects")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sarbot import cli
+from sarbot import cli, simenv
 from sarbot import config as configlib
 from sarbot.errors import ConfigError
 from sarbot.exper import TrialConfig
@@ -158,6 +158,21 @@ def test_batch_seed_expansion():
     assert configlib.batch_seeds(cfg) == [5, 6, 7]
     cfg["batch"]["seeds"] = [2, 9]
     assert configlib.batch_seeds(cfg) == [2, 9]
+
+
+@pytest.mark.parametrize("source", ["file", "overrides"])
+@pytest.mark.parametrize("kind", ["circle", "straight"])
+def test_a_track_kind_alone_takes_its_default_params(tmp_path, kind, source):
+    # the rounded rectangle's default params must not leak into another kind
+    track = {"track": {"kind": kind}}
+    if source == "file":
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(track))
+        cfg = configlib.load_config(p)
+    else:
+        cfg = configlib.load_config(None, track)
+    assert cfg["track"]["params"] == simenv.TRACK_PARAMS[kind]
+    assert configlib.to_trial_config(cfg).track.build().track_kind == kind
 
 
 def fast_config(tmp_path, **trial):
@@ -311,3 +326,45 @@ def test_record_json_is_regenerable_from_config_and_seed(tmp_path):
     assert (next(a.iterdir()) / "trace.csv").read_bytes() == (
         next(b.iterdir()) / "trace.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("argv, leaf, value", [
+    (["trial", "--rule", "gdm"], "rule.kind", "gdm"),
+    (["trial", "--eta", "0.5"], "rule.eta", 0.5),
+    (["trial", "--seed", "7"], "trial.seed", 7),
+    (["trial", "--no-trace"], "output.trace", False),
+    (["batch", "--rules", "sar,gdm"], "batch.rules", ["sar", "gdm"]),
+    (["batch", "--etas", "0.1,0.2"], "batch.etas", [0.1, 0.2]),
+    (["batch", "--seeds", "3"], "batch.seeds", 3),
+    (["batch", "--jobs", "2"], "batch.jobs", 2),
+], ids=["rule", "eta", "seed", "trace", "rules", "etas", "seeds", "jobs"])
+def test_every_override_flag_lands_on_its_leaf(argv, leaf, value):
+    cfg = cli._load(cli.build_parser().parse_args(argv))
+    expected = configlib.load_config()
+    configlib._put(expected, leaf, value)
+    assert configlib._lookup(cfg, leaf) == value
+    assert cfg == expected  # and nowhere else
+
+
+@pytest.mark.parametrize("argv", [["batch", "--etas", "x"], ["batch", "--seed", "x"],
+                                  ["batch", "--etas", "0.1,"]],
+                         ids=["etas", "seed", "etas-trailing-comma"])
+def test_a_malformed_flag_is_a_usage_error(capsys, argv):
+    # argparse's exit 2 naming the flag, not a traceback and exit 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
+
+
+def test_cli_calibrate_writes_the_resolved_config(tmp_path, capsys):
+    derived = tmp_path / "d.yaml"
+    code = cli.main(["calibrate", "--config", str(fast_config(tmp_path)), "--seed", "7",
+                     "--no-trace", "--use-measured-magnitude", "--write", str(derived)])
+    assert code == 0
+    printed = re.search(r"loop gain = (\S+) ", capsys.readouterr().out).group(1)
+    written = configlib.load_config(derived)
+    assert written["trial"]["seed"] == 7
+    assert written["output"]["trace"] is False
+    assert f"{written['loop']['loop_gain']:.6g}" == printed
+    assert written["trial"]["max_duration"] == 20.0  # the file's values kept

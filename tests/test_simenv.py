@@ -311,6 +311,17 @@ def test_band_covers_a_path_gap_of_one_and_a_half_spacings(track):
     assert np.hypot(*(canvas.path[1] - canvas.path[0])) == 0.375
 
 
+def test_a_side_that_snapping_collapses_rasterizes_as_its_point():
+    # an 80.1 cm stadium with 40 cm corners: the snapped right and left sides
+    # have zero length, and measuring them divided by zero
+    stadium = make_track("rounded_rect", {"rect_width": 110.0, "rect_height": 80.1,
+                                          "radii": [40.0, 40.0, 40.0, 40.0]})
+    assert np.isfinite(stadium.raster).all()
+    _assert_raster_equals_the_full_grid(
+        ("rounded_rect", {"rect_width": 3.0, "rect_height": 2.5,
+                          "radii": [1.0, 1.0, 1.0, 1.0]}, 1.0, 1.0, 2.0, 0.0, 1.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 2.0), st.floats(0.0, 5.0))
 def test_near_marks_every_pixel_within_its_dilation_of_a_seed(seed, scale, reach):
@@ -789,6 +800,19 @@ def test_read_pgm_rejects_non_pgm(tmp_path):
     p = tmp_path / "x.pgm"
     p.write_bytes(b"P6\n1 1\n255\n\x00")
     with pytest.raises(ConfigError):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize("raw", [
+    b"P5\n3",  # header cut short
+    b"P5\n3 two\n255\n" + bytes(6),  # a size that is not a number
+    b"P5\n3 2\n255\n" + bytes(5),  # one pixel short
+    b"P5\n-3 2\n255\n" + bytes(6),  # negative width
+], ids=["truncated-header", "bad-height", "short-pixels", "negative-width"])
+def test_read_pgm_rejects_malformed_input(tmp_path, raw):
+    p = tmp_path / "x.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(ConfigError, match="x.pgm"):
         read_pgm(p)
 
 
