@@ -318,7 +318,7 @@ def run_trial(
         except OutOfBoundsError as exc:
             abort_reason = str(exc)
             break
-        lost_ticks = 0 if grid.min() < seen_threshold else lost_ticks + 1
+        lost_ticks = 0 if np.minimum.reduce(grid, axis=None) < seen_threshold else lost_ticks + 1
         if lost_ticks > lost_limit:
             abort_reason = "line lost from camera view"
             break

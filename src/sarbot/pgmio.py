@@ -63,22 +63,36 @@ def write_weight_snapshot(path, matrices) -> None:
 
 
 def read_weight_snapshot(path) -> list[np.ndarray]:
-    """Read back a snapshot written by :func:`write_weight_snapshot`."""
+    """Read back a snapshot written by :func:`write_weight_snapshot`.
+
+    A malformed file raises ``ConfigError`` naming the file and the line:
+    a header that is not ``layer <l> rows <r> cols <c>`` with counts of at
+    least 1, a value that is not a number, a block cut short, or a row of
+    the wrong length.
+    """
     matrices = []
     with open(path) as fh:
         lines = fh.read().splitlines()
     pos = 0
     while pos < len(lines):
         header = lines[pos].split()
-        if len(header) != 6 or header[0] != "layer":
+        try:
+            rows, cols = int(header[3]), int(header[5])
+        except (IndexError, ValueError):
+            rows = cols = 0
+        if len(header) != 6 or header[0] != "layer" or min(rows, cols) < 1:
             raise ConfigError(f"{path}: bad snapshot header at line {pos + 1}")
-        rows, cols = int(header[3]), int(header[5])
         block = lines[pos + 1 : pos + 1 + rows]
         if len(block) != rows:
             raise ConfigError(f"{path}: truncated snapshot at line {pos + 1}")
-        w = np.array([[float(v) for v in line.split()] for line in block])
-        if w.shape != (rows, cols):
-            raise ConfigError(f"{path}: matrix shape mismatch at line {pos + 1}")
-        matrices.append(w)
+        w = []
+        for k, line in enumerate(block, start=pos + 2):
+            try:
+                w.append([float(v) for v in line.split()])
+            except ValueError:
+                raise ConfigError(f"{path}: a value that is not a number at line {k}") from None
+            if len(w[-1]) != cols:
+                raise ConfigError(f"{path}: matrix shape mismatch at line {k}")
+        matrices.append(np.array(w))
         pos += 1 + rows
     return matrices

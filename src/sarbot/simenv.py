@@ -99,7 +99,16 @@ class SensorLayout:
     coordinate rows, forward then lateral: the camera's 8 * 12 cells of
     ``cam_supersample`` ** 2 points each first (row-major, a cell's points
     contiguous), then the ground sensors' 6 disks of 13 points each (L1 L2
-    L3 R1 R2 R3). ``_n_cam`` is the number of camera points.
+    L3 R1 R2 R3). ``_n_cam`` is the number of camera points, and ``_reach``
+    the largest distance of any point from the pose, in cm.
+
+    ``_ws`` holds the buffers of :func:`sample_camera`'s gather over all the
+    points, a :class:`_Gather` made at the first call and reused by every
+    later one, whatever the canvas, since a gather leaves nothing in them
+    that a later one reads, and no returned array aliases them. They are
+    scratch, not state: left out of ``repr`` and comparison, and a pickled
+    or copied layout starts without them. A layout shared by threads would
+    share them too, so each thread needs its own layout.
     """
 
     # the innermost pair clears the 2 cm line by 2 cm, leaving a dead band the
@@ -112,8 +121,11 @@ class SensorLayout:
     cam_depth: float = 10.0
     cam_ahead: float = 5.0
     cam_supersample: int = 3
-    _pts: np.ndarray = field(init=False, repr=False)
-    _n_cam: int = field(init=False, repr=False)
+    # derived from the fields above, and compared through them
+    _pts: np.ndarray = field(init=False, repr=False, compare=False)
+    _n_cam: int = field(init=False, repr=False, compare=False)
+    _reach: float = field(init=False, repr=False, compare=False)
+    _ws: _Gather | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         lat = [float(v) for v in self.ldr_lateral]
@@ -146,16 +158,21 @@ class SensorLayout:
         self._pts = np.concatenate(
             [np.stack([f.ravel(), l.ravel()]), ldr.reshape(-1, 2).T], axis=1
         )
+        self._reach = float(np.hypot(*self._pts).max())
+
+    def __getstate__(self):
+        return {**self.__dict__, "_ws": None}
 
 
 @dataclass
 class Canvas:
     """Immutable world raster plus the track it was built from.
 
-    ``_corners`` holds the flat-index offsets ``[[0, 1], [w, w + 1]]`` of a
-    pixel's four bilinear corners in the raster, as (2, 2, 1), for
-    :func:`sample_points`; every construction, ``dataclasses.replace``
-    included, builds them for its own raster.
+    The raster is held as float GSV: every construction,
+    ``dataclasses.replace`` included, converts a raster of another dtype to
+    float64, the dtype of the buffers the gather of :func:`sample_points`
+    reads into. The weighted sums that read it converted each value to
+    float64 before as well, so the samples keep their bits.
     """
 
     raster: np.ndarray  # (H, W) float GSV
@@ -163,11 +180,9 @@ class Canvas:
     start: tuple  # (x, y, theta) on-track start pose
     track_kind: str
     path: np.ndarray | None = None  # dense centerline polyline, for diagnostics
-    _corners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = self.raster.shape[1]
-        self._corners = np.array([[0, 1], [w, w + 1]], dtype=np.intp)[:, :, None]
+        self.raster = np.asarray(self.raster, dtype=float)
 
     @property
     def world_size(self) -> tuple:
@@ -188,65 +203,142 @@ def load_canvas(path, scale: float, start=(0.0, 0.0, 0.0)) -> Canvas:
     )
 
 
+class _Gather:
+    """Buffers for one bilinear gather of ``n`` points, and the views of
+    them that it reads and writes, each made once.
+
+    ``p`` holds the pixel coordinates and ``lo`` and ``i`` their floors,
+    float and integer, all (2, n), x then y. ``wts`` (2, 2, n) holds the
+    weights [1 - f, f] of the fraction f of each coordinate, and ``v``
+    (2, 2, n) the corner values v[b, a] = r[y + a, x + b].
+    """
+
+    __slots__ = ("p", "lo", "i", "ix", "iy", "wts", "f", "g", "wx", "wy", "v",
+                 "corners", "columns")
+
+    def __init__(self, n: int):
+        self.p, self.lo = np.empty((2, n)), np.empty((2, n))
+        self.i = np.empty((2, n), dtype=np.intp)
+        self.ix, self.iy = self.i
+        self.wts = np.empty((2, 2, n))
+        self.g, self.f = self.wts
+        # the weights of corner column b along x, and of row a along y
+        self.wx, self.wy = self.wts[:, 0, None], self.wts[:, 1]
+        self.v = np.empty((2, 2, n))
+        # v[b, a] in the order of their flat offsets 0, 1, w and w + 1
+        self.corners = (self.v[0, 0], self.v[1, 0], self.v[0, 1], self.v[1, 1])
+        # the corners at x and at x + 1, each [a, n]
+        self.columns = tuple(self.v)
+
+
 # offsets of the floor and the +1 corner, broadcast over (axis, point)
 _CORNER = np.array([0, 1])[:, None, None]
 
 
-def sample_points(canvas: Canvas, pts: np.ndarray) -> np.ndarray:
+def _bilinear(r: np.ndarray, ws: _Gather, clamp: bool) -> np.ndarray:
+    """Bilinear values of raster ``r`` at the pixel coordinates ``ws.p``,
+    every one of which lies on the canvas: the one statement of the
+    lookup's arithmetic.
+
+    With x, y the floor and f the fraction of each coordinate, the four
+    corners are v[b, a] = r[y + a, x + b] and the value is
+    ``(v[0, 0] (1 - fx) + v[1, 0] fx) (1 - fy) + (v[0, 1] (1 - fx) + v[1, 1] fx) fy``:
+    one product of the corners with the weights [1 - fx, fx], one sum into
+    the top and bottom rows, one product with [1 - fy, fy] and one sum.
+
+    Unless ``clamp``, every point lies below the last pixel row and column,
+    and its corners are four ``take``s at its flat index ``y * w + x``,
+    from the flat raster and from its views shifted by 1, w and w + 1; the
+    index is on the canvas, so ``clip`` never clips and spares the buffered
+    copy that ``raise`` makes of an ``out``. With ``clamp``, a point on the
+    last pixel row or column reads its clamped +1 corner, with weight 0.
+    """
+    h, w = r.shape
+    p, lo, v = ws.p, ws.lo, ws.v
+    v00, v10, v01, v11 = ws.corners
+    np.floor(p, out=lo)
+    np.copyto(ws.i, lo, casting="unsafe")
+    flat = r.ravel()
+    if clamp:
+        # corners[k] = floor + k per axis
+        corners = np.minimum(ws.i + _CORNER, ((w - 1,), (h - 1,)))
+        x, y = corners[:, 0], corners[:, 1] * w
+        flat.take(x[:, None] + y[None, :], out=v)  # v[b, a] = r[y_a, x_b]
+    else:
+        k = np.multiply(ws.iy, w, out=ws.iy)
+        k += ws.ix
+        flat.take(k, out=v00, mode="clip")
+        flat[1:].take(k, out=v10, mode="clip")
+        flat[w:].take(k, out=v01, mode="clip")
+        flat[w + 1 :].take(k, out=v11, mode="clip")
+    np.subtract(p, lo, out=ws.f)
+    np.subtract(1, ws.f, out=ws.g)
+    np.multiply(v, ws.wx, out=v)
+    left, right = ws.columns
+    tb = np.add(left, right, out=left)  # tb[a]: along row y + a
+    np.multiply(tb, ws.wy, out=tb)
+    return v00 + v01  # tb[0] + tb[1]
+
+
+def sample_points(canvas: Canvas, pts: np.ndarray, ws: _Gather | None = None) -> np.ndarray:
     """Bilinear GSV lookup at world points given as coordinate rows (2, N),
     x then y; raises when any point is off-canvas.
 
-    One gather serves all N points: the four corners of every point are
-    read with a single ``take`` from the flattened raster. ``sample_camera``
-    calls it once per control tick for both sensors, ``sample_ldr`` for the
-    ground sensors alone, of one pose or of every lane at once.
+    One gather serves all N points, in the buffers ``ws`` (fresh ones if
+    None), which ``pts`` may be the ``p`` of. :func:`sample_camera` calls it
+    for a pose near an edge of the canvas, with the layout's workspace, and
+    :func:`sample_ldr` for the ground sensors of one pose or of every lane
+    at once.
 
-    The calls are the cheapest forms of the same arithmetic, since the
-    per-call cost of numpy dominates at N = 942: one per-axis ``min`` and
-    ``max`` pair tests the bounds, and while no point lies on the last pixel
-    row or column, the corners are the point's flat index plus the canvas's
-    precomputed ``_corners``, with no clamp.
+    One per-axis ``min`` and ``max`` pair tests the bounds, written so that
+    a NaN is off-canvas. While no point lies on the last pixel row or
+    column, :func:`_bilinear` reads the corners unclamped; otherwise it
+    clamps them. Either way the arithmetic of each value is the one that
+    function states, so this and :func:`sample_camera`'s in-place path give
+    a point the same bits.
     """
     r = canvas.raster
     h, w = r.shape
-    p = pts / canvas.scale - 0.5
+    ws = _Gather(pts.shape[1]) if ws is None else ws
+    p = np.divide(pts, canvas.scale, out=ws.p)
+    p -= 0.5
     (x_min, y_min), (x_max, y_max) = p.min(axis=1).tolist(), p.max(axis=1).tolist()
     # written so that a NaN, for which every comparison is false, is off-canvas
     if not (x_min >= 0.0 and y_min >= 0.0 and x_max <= w - 1.0 and y_max <= h - 1.0):
         raise OutOfBoundsError("sample point outside the canvas")
-    lo = np.floor(p)
-    i = lo.astype(np.intp)
-    if x_max < w - 1.0 and y_max < h - 1.0:
-        # v[a, b] = r[y + a, x + b], every corner on the canvas
-        v = r.ravel().take(i[1] * w + i[0] + canvas._corners)
-    else:
-        # corners[k] = floor + k per axis; a point on the last pixel reads
-        # its clamped +1 corner with weight 0
-        corners = np.minimum(i + _CORNER, ((w - 1,), (h - 1,)))
-        x, y = corners[:, 0], corners[:, 1] * w
-        v = r.ravel().take(y[:, None] + x[None, :])  # v[a, b] = r[y_a, x_b]
-    f = p - lo
-    g = 1 - f
-    tb = v[:, 0] * g[0] + v[:, 1] * f[0]  # top and bottom rows
-    return tb[0] * g[1] + tb[1] * f[1]
+    return _bilinear(r, ws, clamp=not (x_max < w - 1.0 and y_max < h - 1.0))
 
 
-def _to_world(pose: RobotPose, pts: np.ndarray) -> np.ndarray:
-    """Robot-frame (forward, lateral) coordinate rows (2, N) to world x, y
-    rows (2, N): x = (pose.x + f*c) - l*s, y = (pose.y + f*s) + l*c."""
+def _terms(pose: RobotPose) -> tuple:
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    # y subtracts (-c) * l, which is exactly + c * l; one flat tuple builds
-    # the array faster than nested lists
-    m = np.array((pose.x, pose.y, c, s, s, -c)).reshape(3, 2, 1)
-    return (m[0] + m[1] * pts[0]) - m[2] * pts[1]
+    # y subtracts (-c) * l, which is exactly + c * l
+    return (pose.x, pose.y, c, s, s, -c)
 
 
-def _ldr_readout(vals: np.ndarray) -> LdrReadout:
-    # each G value is 255 minus the mean GSV over the sensor's disk
-    cells = vals.reshape(6, -1)
-    # the mean as ndarray.mean computes it, without its Python wrapper
-    g = 255.0 - np.add.reduce(cells, axis=1) / cells.shape[1]
-    return LdrReadout(g=g[:3], g_star=g[3:])
+def _to_world(pose, pts: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Robot-frame (forward, lateral) coordinate rows (2, N) to world x, y
+    rows: x = (pose.x + f*c) - l*s, y = (pose.y + f*s) + l*c.
+
+    ``pose`` is one :class:`RobotPose`, giving rows (2, N), or a sequence of
+    B poses (lanes), giving (2, B, N) in one broadcast, each lane's values
+    those its pose alone gives. One pose may write its rows into ``out``,
+    with ``tmp`` for the lateral term, both (2, N).
+    """
+    if isinstance(pose, RobotPose):
+        # one flat tuple builds the array faster than nested lists
+        m = np.array(_terms(pose)).reshape(3, 2, 1)
+    else:
+        m = np.array([_terms(p) for p in pose]).T.reshape(3, 2, -1, 1)
+    out = np.multiply(m[1], pts[0], out=out)
+    np.add(m[0], out, out=out)
+    return np.subtract(out, np.multiply(m[2], pts[1], out=tmp), out=out)
+
+
+def _ldr_g(cells: np.ndarray) -> np.ndarray:
+    """G values of ground-sensor points (..., 6, points): 255 minus the mean
+    GSV over each sensor's disk, the mean as ndarray.mean computes it,
+    without its Python wrapper."""
+    return 255.0 - np.add.reduce(cells, axis=-1) / cells.shape[-1]
 
 
 def sample_ldr(canvas: Canvas, pose, layout: SensorLayout) -> LdrReadout | list[LdrReadout]:
@@ -260,16 +352,20 @@ def sample_ldr(canvas: Canvas, pose, layout: SensorLayout) -> LdrReadout | list[
     read both sensors through :func:`sample_camera`.
 
     ``pose`` is one :class:`RobotPose`, read into one ``LdrReadout``, or a
-    sequence of poses (lanes), read into a list of readouts in one gather
-    over every lane's points. Each lane's readout has the bits its pose
-    read alone gives; a point of any lane off the canvas raises
-    ``OutOfBoundsError``.
+    sequence of poses (lanes), read into a list of readouts. One broadcast
+    transform places every lane's points, one :func:`sample_points` gather
+    reads them and one reduction over (lanes, 6, 13) takes the means. Every
+    operation is elementwise, or a sum over one disk's 13 points, so each
+    lane's readout has the bits its pose read alone gives; a point of any
+    lane off the canvas raises ``OutOfBoundsError``. The gather, in fresh
+    buffers, always goes through :func:`sample_points`' bounds test: the
+    probe runs at a trial's set-up, not on its ticks.
     """
     lanes = [pose] if isinstance(pose, RobotPose) else pose
     pts = layout._pts[:, layout._n_cam :]
-    vals = sample_points(canvas, np.concatenate([_to_world(p, pts) for p in lanes], axis=1))
-    n = pts.shape[1]
-    readouts = [_ldr_readout(vals[k * n : (k + 1) * n]) for k in range(len(lanes))]
+    vals = sample_points(canvas, _to_world(lanes, pts).reshape(2, -1))
+    g = _ldr_g(vals.reshape(len(lanes), 6, -1))
+    readouts = [LdrReadout(g=gk[:3], g_star=gk[3:]) for gk in g]
     return readouts[0] if isinstance(pose, RobotPose) else readouts
 
 
@@ -283,12 +379,46 @@ def sample_camera(
     would give. ``exper.run_trial`` calls it once per control tick, and
     nothing else does; an off-canvas point of either sensor raises
     ``OutOfBoundsError``.
+
+    One world transform writes every point into the layout's workspace.
+    A pose whose pixel coordinates lie at least ``layout._reach / scale + 1``
+    pixels inside every edge of the canvas, with a finite heading, then
+    takes the in-place path: the pixel mapping writes over the points, and
+    :func:`_bilinear` reads the corners unclamped, with no per-point bounds
+    test. Every point lies within the reach of the pose, and the rounding
+    of the transform moves it by far less than the spare pixel, so every
+    point lies on the canvas and below its last pixel row and column, where
+    :func:`sample_points` would take the same unclamped branch. Each value
+    goes through the same IEEE operations in the same association, so both
+    paths give the same bits. Every other pose (near an edge, off the
+    canvas, with a NaN or infinite coordinate or heading, or on a canvas
+    whose scale is not positive) goes through :func:`sample_points` and its
+    bounds test. The pose-level test is written in Python floats, so that a
+    NaN or infinite coordinate fails it.
     """
-    vals = sample_points(canvas, _to_world(pose, layout._pts))
+    r = canvas.raster
+    h, w = r.shape
+    scale = canvas.scale
+    inside = scale > 0.0 and math.isfinite(pose.theta)
+    if inside:
+        m = layout._reach / scale + 1.0
+        x, y = pose.x / scale - 0.5, pose.y / scale - 0.5
+        inside = m <= x <= w - 1.0 - m and m <= y <= h - 1.0 - m
+    ws = layout._ws
+    if ws is None:
+        ws = layout._ws = _Gather(layout._pts.shape[1])
+    p = _to_world(pose, layout._pts, out=ws.p, tmp=ws.lo)
+    if inside:
+        np.divide(p, scale, out=p)
+        p -= 0.5
+        vals = _bilinear(r, ws, clamp=False)
+    else:
+        vals = sample_points(canvas, p, ws)
     n = layout._n_cam
     cells = vals[:n].reshape(8, 12, -1)
     grid = np.add.reduce(cells, axis=2) / cells.shape[2]
-    return grid, _ldr_readout(vals[n:])
+    g = _ldr_g(vals[n:].reshape(6, -1))
+    return grid, LdrReadout(g=g[:3], g_star=g[3:])
 
 
 # ----------------------------------------------------------------------

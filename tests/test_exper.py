@@ -494,6 +494,23 @@ def test_trial_artifacts_round_trip(tmp_path):
     assert img.shape == (13, 240)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("layer 1 rows x cols 2\n1 2\n", "bad snapshot header at line 1"),
+    ("layer 1 rows 1 cols 2.5\n1 2\n", "bad snapshot header at line 1"),
+    ("layer 1 rows 1 cols 2\n1 2\nlayer 2 rows 2 cols 1\n3\nabc\n",
+     "a value that is not a number at line 5"),
+    ("layer 1 rows 0 cols 2\n", "bad snapshot header at line 1"),
+    ("layer 1 rows -1 cols 2\n1 2\n", "bad snapshot header at line 1"),
+    ("layer 1 rows 2 cols 2\n1 2\n3\n", "matrix shape mismatch at line 3"),
+], ids=["rows-not-integer", "cols-not-integer", "value-not-a-number", "zero-rows",
+        "negative-rows", "short-row"])
+def test_a_malformed_weight_snapshot_names_its_file_and_line(tmp_path, text, message):
+    path = tmp_path / "weights.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"weights\.txt: {message}$"):
+        read_weight_snapshot(path)
+
+
 def test_first_layer_heatmap_reorders_blocks_nearest_right():
     cfg = quick_cfg(rule=None, max_duration=1.0)
     rec = run_trial(cfg, loop_gain=5e-6)

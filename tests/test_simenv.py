@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -781,19 +782,140 @@ def test_a_gather_inside_and_one_touching_the_last_pixel_equal_the_reference(
     assert vals.tobytes() == _ref_sample_points(canvas, pts.T).tobytes()
 
 
-def test_corner_offsets_survive_pickle_and_follow_a_replaced_raster():
+def test_a_shipped_or_replaced_canvas_samples_its_own_raster():
     # run_batch ships the canvas to worker processes
     canvas = make_track("circle", {"radius": 10.0}, margin=5.0)
-    h, w = canvas.raster.shape
-    assert canvas._corners.shape == (2, 2, 1)
-    assert canvas._corners.ravel().tolist() == [0, 1, w, w + 1]
     pts = np.array([[12.3, 4.4, 20.0], [13.1, 8.8, 2.6]])
     shipped = pickle.loads(pickle.dumps(canvas))
-    assert shipped._corners.tobytes() == canvas._corners.tobytes()
     assert sample_points(shipped, pts).tobytes() == sample_points(canvas, pts).tobytes()
     wider = dataclasses.replace(canvas, raster=np.tile(canvas.raster, 2))
-    assert wider._corners.ravel().tolist() == [0, 1, 2 * w, 2 * w + 1]
     assert sample_points(wider, pts).tobytes() == _ref_sample_points(wider, pts.T).tobytes()
+    # a raster of gray levels is held as float GSV and reads as the levels do
+    levels = np.rint(canvas.raster).astype(np.uint8)
+    gray = dataclasses.replace(canvas, raster=levels)
+    assert gray.raster.dtype == np.float64
+    as_given = dataclasses.replace(canvas)
+    as_given.raster = levels
+    assert sample_points(gray, pts).tobytes() == _ref_sample_points(as_given, pts.T).tobytes()
+
+
+def test_the_workspace_is_scratch_not_state():
+    canvas = make_track("circle", {"radius": 30.0}, margin=30.0)
+    layout = SensorLayout()
+    assert layout._reach == max(math.hypot(f, l) for f, l in layout._pts.T)
+    assert layout._ws is None
+    pose = RobotPose(*canvas.start)
+    lanes = sample_ldr(canvas, [pose, pose], layout)
+    assert layout._ws is None  # the probe keeps no buffers
+    grid, readout = sample_camera(canvas, pose, layout)
+    ws = layout._ws
+    assert ws.p.shape == (2, layout._pts.shape[1])
+    assert repr(layout) == repr(SensorLayout()) and layout == SensorLayout()
+    for other in (pickle.loads(pickle.dumps(layout)), copy.deepcopy(layout),
+                  dataclasses.replace(layout)):
+        assert other._ws is None and other == layout
+    sample_camera(canvas, pose, layout)
+    assert layout._ws is ws
+    outs = [grid, readout.g, readout.g_star] + [g for r in lanes for g in (r.g, r.g_star)]
+    for buf in (ws.p, ws.lo, ws.i, ws.wts, ws.v):
+        assert not any(np.shares_memory(out, buf) for out in outs)
+
+
+def _camera_outcome(canvas, pose, layout):
+    """sample_camera's grid, g and g_star, or the type of what it raises."""
+    try:
+        grid, readout = sample_camera(canvas, pose, layout)
+    except (OutOfBoundsError, ValueError) as exc:
+        return type(exc)
+    return grid, readout.g, readout.g_star
+
+
+def _camera_reference(canvas, pose, layout):
+    """The same from sample_points over every world point, with
+    ndarray.mean for the means; math.cos raises ValueError for an infinite
+    heading."""
+    try:
+        vals = sample_points(canvas, simenv._to_world(pose, layout._pts))
+    except (OutOfBoundsError, ValueError) as exc:
+        return type(exc)
+    n = layout._n_cam
+    g = 255.0 - vals[n:].reshape(6, -1).mean(axis=1)
+    return vals[:n].reshape(8, 12, -1).mean(axis=2), g[:3], g[3:]
+
+
+@st.composite
+def camera_poses(draw, canvas, layout):
+    """A pose within a pixel and a half of the pose-level test's boundary
+    on one side, one anywhere from 5 cm off the canvas to 5 cm past it, or
+    one with a NaN or infinite coordinate or heading."""
+    h, w = canvas.raster.shape
+    scale = canvas.scale
+    m = layout._reach / scale + 1.0
+    kind = draw(st.sampled_from(["left", "right", "bottom", "top", "anywhere", "non-finite"]))
+    # pixel coordinates, inside the boundary on both axes
+    px, py = draw(st.floats(m, w - 1.0 - m)), draw(st.floats(m, h - 1.0 - m))
+    d = draw(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)))
+    if kind == "left":
+        px = m + d
+    elif kind == "right":
+        px = w - 1.0 - m + d
+    elif kind == "bottom":
+        py = m + d
+    elif kind == "top":
+        py = h - 1.0 - m + d
+    elif kind == "anywhere":
+        px = draw(st.floats(-5.0 / scale, w + 5.0 / scale))
+        py = draw(st.floats(-5.0 / scale, h + 5.0 / scale))
+    pose = [(px + 0.5) * scale, (py + 0.5) * scale, draw(st.floats(-7.0, 7.0))]
+    if kind == "non-finite":
+        pose[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    event(kind)
+    return RobotPose(*pose)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_in_place_path_keeps_every_bit_of_sample_points(data):
+    # one layout serves two canvases of different widths in alternation:
+    # its workspace holds nothing of either canvas
+    layout = SensorLayout(cam_supersample=data.draw(st.sampled_from([1, 3])))
+    scale = data.draw(st.sampled_from([0.25, 0.3, 0.5]))
+    side = int(2 * layout._reach / scale) + 4
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    widths = data.draw(st.lists(st.integers(side, side + 80), min_size=2, max_size=2,
+                                unique=True))
+    canvases = [Canvas(raster=rng.uniform(0.0, 256.0, (side + int(rng.integers(80)), w)),
+                       scale=scale, start=(0.0, 0.0, 0.0), track_kind="random")
+                for w in widths]
+    returned = []
+    for k in range(data.draw(st.integers(2, 8))):
+        canvas = canvases[k % 2]
+        pose = data.draw(camera_poses(canvas, layout))
+        bounds_tested = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simenv, "sample_points",
+                       lambda *a: bounds_tested.append(a) or sample_points(*a))
+            got = _camera_outcome(canvas, pose, layout)
+        want = _camera_reference(canvas, pose, layout)
+        # only a pose with a finite heading in range of every edge skips the
+        # bounds test; an infinite heading raises before either path
+        h, w = canvas.raster.shape
+        m = layout._reach / scale + 1.0
+        x, y = pose.x / scale - 0.5, pose.y / scale - 0.5
+        in_place = (m <= x <= w - 1.0 - m and m <= y <= h - 1.0 - m
+                    and math.isfinite(pose.theta))
+        event("in place" if in_place else "bounds-tested")
+        if not math.isinf(pose.theta):
+            assert (not bounds_tested) == in_place
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert not isinstance(got, type)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        returned.append((got, [a.tobytes() for a in got]))
+    # no later call wrote into an array an earlier one returned
+    for got, snapshot in returned:
+        assert [a.tobytes() for a in got] == snapshot
 
 
 def test_read_pgm_rejects_non_pgm(tmp_path):

@@ -77,6 +77,14 @@ CASES = {
         "track": {"kind": "circle", "params": {"radius": 40.0}},
         "trial": {"max_duration": 60.0, "seed": 1},
     }),
+    # with a 16 cm margin, 895 of the 2,400 ticks put the pose within the
+    # camera's reach of an edge: the trial mixes sample_camera's in-place
+    # gather with the bounds-tested one of sample_points
+    "circle-edge16": ("trial", {
+        "rule": {"kind": "sar", "eta": ETA},
+        "track": {"kind": "circle", "params": {"radius": 40.0}, "margin": 16.0},
+        "trial": {"max_duration": 120.0},
+    }),
     "track-preview": ("track-preview", {"track": SPLINE}),
     # a rounded rectangle with uneven corners, whose eight pieces' distance
     # fields are each evaluated only near their own piece
