@@ -176,42 +176,37 @@ class SuccessTracker:
         return self.confirmed is not None
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to the exact sum held as Shewchuk's non-overlapping
-    partials (the ``msum`` recipe that ``math.fsum`` is built on)."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+# every finite float is a whole multiple of 2**-1074, the smallest subnormal
+_UNIT = 2**1074
 
 
 class TrailingMean:
     """Mean of the last ``window`` pushed samples (fewer at the start).
 
-    The window's sum is kept exactly, as partials that gain each new sample
-    and the negation of the one that leaves, so every mean is the correctly
-    rounded sum, ``math.fsum`` of the window, divided by its length: a
-    constant series averages to exactly itself.  Samples must be finite.
+    The window's sum is kept exactly, as a Python int counting units of
+    2**-1074, of which every finite float is a whole number: each sample
+    adds its own count (from ``float.as_integer_ratio``, whose denominator
+    is a power of two) and the one that leaves takes its count away.  Int
+    true division is correctly rounded, so ``total / 2**1074`` is the
+    correctly rounded sum, ``math.fsum`` of the window, and every mean is
+    that divided by the window's length: a constant series averages to
+    exactly itself.  Samples must be finite.
     """
 
     def __init__(self, window: int):
-        self._samples = deque(maxlen=window)
-        self._partials: list[float] = []
+        self._units = deque(maxlen=window)
+        self._total = 0
 
     def push(self, x: float) -> float:
         """Add a sample and return the mean of the window it ends."""
-        if len(self._samples) == self._samples.maxlen:
-            _add_exact(self._partials, -self._samples[0])
-        self._samples.append(x)
-        _add_exact(self._partials, x)
-        return math.fsum(self._partials) / len(self._samples)
+        n, d = x.as_integer_ratio()
+        u = n << (1075 - d.bit_length())  # n * 2**1074 / d, with d = 2**k
+        units = self._units
+        if len(units) == units.maxlen:
+            self._total -= units[0]
+        units.append(u)
+        self._total += u
+        return self._total / _UNIT / len(units)
 
 
 def moving_average(e, window: float, dt: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, StateError
 
 
-@dataclass
+@dataclass(slots=True)
 class LdrReadout:
     """Six ground-sensor values: ``g`` for the left triple, ``g_star`` for
     their mirrored right counterparts, innermost first.

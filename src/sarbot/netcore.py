@@ -40,14 +40,16 @@ LOCALPROP = "localprop"
 SAR = "sar"
 RULES = (GDM, LOCALPROP, SAR)
 
-# activation -> (function, slope); the slope is computed from the stored
-# (sum-output, activation) pair so the backward passes avoid recomputing the
-# activation. Activations must be odd so that a symmetric scene yields
-# exactly zero output from a bias-free network, and strictly increasing so
-# that sign_prop may ignore their slopes
+# activation -> (function, slope). A function f(v, out) returns the
+# activation of v, written into out unless out is None; a linear layer's is
+# v itself. The slope is computed from the stored (sum-output, activation)
+# pair so the backward passes avoid recomputing the activation. Activations
+# must be odd so that a symmetric scene yields exactly zero output from a
+# bias-free network, and strictly increasing so that sign_prop may ignore
+# their slopes
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda v, a: 1.0 - a * a),
-    "linear": (lambda v: np.asarray(v, dtype=float), lambda v, a: np.ones_like(v)),
+    "linear": (lambda v, out: v, lambda v, a: np.ones_like(v)),
 }
 
 
@@ -95,10 +97,10 @@ class Network:
     on ticks with ``kappa != 0``.  No weight is ever -0.0 (see ``__init__``),
     which is what makes skipping a ``kappa == 0`` update bitwise exact.
 
-    The sum-outputs ``v[l]`` are fixed views into one buffer that
-    ``__init__`` allocates and every ``forward`` overwrites in place; so is
-    ``a[l]`` of a linear layer, which is ``v[l]`` itself.  A caller who keeps
-    them across ticks must copy them.
+    The sum-outputs ``v[l]`` and the activations ``a[l]`` are fixed views
+    into two buffers that ``__init__`` allocates and every ``forward``
+    overwrites in place, one stretch per layer; a linear layer's ``a[l]`` is
+    ``v[l]`` itself.  A caller who keeps them across ticks must copy them.
     """
 
     def __init__(self, weights, activations, output_weighting):
@@ -126,15 +128,17 @@ class Network:
                 f"{self.weights[-1].shape[0]}"
             )
         self._in_shape = (self.weights[0].shape[1],)
-        # every layer's sum-outputs, in layer order
+        # every layer's sum-outputs and activations, in layer order
         self._v_all = np.zeros(sum(w.shape[0] for w in self.weights))
+        self._a_all = np.zeros_like(self._v_all)
         self._bind()
         self.p = None  # last input vector
-        self.a = [None] * self.n_layers  # activations
 
     def _bind(self):
         """Point ``v[l]`` at layer l's stretch of the sum-output buffer and
-        resolve each layer's activation function and product.
+        ``a[l]`` at its stretch of the activation buffer (at ``v[l]`` for a
+        linear layer), and resolve each layer's activation function and
+        product.
 
         A product is ``ndarray.dot``, which reaches the same BLAS routine as
         ``np.matmul`` and gives the same bits without the ufunc dispatch.
@@ -142,7 +146,10 @@ class Network:
         weighting) keeps ``np.matmul``: there dot multiplies, while matmul
         adds the product to 0.0, which turns a -0.0 into +0.0."""
         ends = np.cumsum([w.shape[0] for w in self.weights])
-        self.v = [self._v_all[e - w.shape[0] : e] for e, w in zip(ends, self.weights)]
+        stretches = [slice(e - w.shape[0], e) for e, w in zip(ends, self.weights)]
+        self.v = [self._v_all[k] for k in stretches]
+        self.a = [v if name == "linear" else self._a_all[k]
+                  for v, k, name in zip(self.v, stretches, self.activations)]
         self._acts = [_ACTIVATIONS[name][0] for name in self.activations]
         self._dots = [
             np.matmul if a.size == 1 else np.ndarray.dot for a in (*self.weights, self.m)
@@ -153,7 +160,7 @@ class Network:
     # pickle
     def __getstate__(self):
         return {
-            k: v for k, v in self.__dict__.items() if k not in ("v", "_acts", "_dots")
+            k: v for k, v in self.__dict__.items() if k not in ("v", "a", "_acts", "_dots")
         }
 
     def __setstate__(self, state):
@@ -196,7 +203,7 @@ class Network:
         with np.errstate(over="ignore", invalid="ignore"):
             for l, (w, v, act) in enumerate(zip(self.weights, self.v, self._acts)):
                 dots[l](w, x, out=v)
-                x = a[l] = act(v)
+                x = act(v, a[l])
             finite = math.isfinite(self._v_all.dot(self._v_all))
             out = float(dots[-1](self.m, x))
         if not finite:
@@ -220,7 +227,7 @@ class Network:
                 raise NumericError(
                     f"non-finite sum-output in layer {l + 1}", layer=l + 1
                 )
-            x = act(v)
+            x = act(v, None)
 
     def _require_forward(self, what):
         if self.p is None:

@@ -32,7 +32,7 @@ TRACK_PARAMS = {
 TRACK_KINDS = tuple(TRACK_PARAMS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RobotPose:
     """Robot position/heading plus its kinematic constants, which
     ``exper.SimParams`` checks."""
@@ -70,7 +70,7 @@ def step(pose: RobotPose, mc: float, dt: float, integrator: str = "arc") -> Robo
             y = pose.y - r * (math.cos(theta) - math.cos(pose.theta))
     else:
         raise ConfigError(f"unknown integrator {integrator!r}")
-    if not all(map(math.isfinite, (x, y, theta))):
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
         raise ConfigError("pose update produced non-finite values")
     return RobotPose(x, y, theta, pose.wheel_base, pose.v0)
 
@@ -310,7 +310,12 @@ def sample_points(canvas: Canvas, pts: np.ndarray, ws: _Gather | None = None) ->
 
 
 def _terms(pose: RobotPose) -> tuple:
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    theta = pose.theta
+    # a non-finite heading would place every point at NaN, and an infinite
+    # one would make math.cos raise ValueError
+    if not math.isfinite(theta):
+        raise OutOfBoundsError("sample point outside the canvas")
+    c, s = math.cos(theta), math.sin(theta)
     # y subtracts (-c) * l, which is exactly + c * l
     return (pose.x, pose.y, c, s, s, -c)
 
@@ -322,7 +327,9 @@ def _to_world(pose, pts: np.ndarray, out=None, tmp=None) -> np.ndarray:
     ``pose`` is one :class:`RobotPose`, giving rows (2, N), or a sequence of
     B poses (lanes), giving (2, B, N) in one broadcast, each lane's values
     those its pose alone gives. One pose may write its rows into ``out``,
-    with ``tmp`` for the lateral term, both (2, N).
+    with ``tmp`` for the lateral term, both (2, N). A pose with a NaN or
+    infinite heading raises ``OutOfBoundsError``, as a non-finite
+    coordinate does at the bounds test.
     """
     if isinstance(pose, RobotPose):
         # one flat tuple builds the array faster than nested lists
@@ -382,24 +389,25 @@ def sample_camera(
 
     One world transform writes every point into the layout's workspace.
     A pose whose pixel coordinates lie at least ``layout._reach / scale + 1``
-    pixels inside every edge of the canvas, with a finite heading, then
-    takes the in-place path: the pixel mapping writes over the points, and
-    :func:`_bilinear` reads the corners unclamped, with no per-point bounds
-    test. Every point lies within the reach of the pose, and the rounding
-    of the transform moves it by far less than the spare pixel, so every
-    point lies on the canvas and below its last pixel row and column, where
-    :func:`sample_points` would take the same unclamped branch. Each value
-    goes through the same IEEE operations in the same association, so both
-    paths give the same bits. Every other pose (near an edge, off the
-    canvas, with a NaN or infinite coordinate or heading, or on a canvas
-    whose scale is not positive) goes through :func:`sample_points` and its
-    bounds test. The pose-level test is written in Python floats, so that a
-    NaN or infinite coordinate fails it.
+    pixels inside every edge of the canvas then takes the in-place path:
+    the pixel mapping writes over the points, and :func:`_bilinear` reads
+    the corners unclamped, with no per-point bounds test. Every point lies
+    within the reach of the pose, and the rounding of the transform moves
+    it by far less than the spare pixel, so every point lies on the canvas
+    and below its last pixel row and column, where :func:`sample_points`
+    would take the same unclamped branch. Each value goes through the same
+    IEEE operations in the same association, so both paths give the same
+    bits. Every other pose (near an edge, off the canvas, with a NaN or
+    infinite coordinate, or on a canvas whose scale is not positive) goes
+    through :func:`sample_points` and its bounds test. The pose-level test
+    is written in Python floats, so that a NaN or infinite coordinate fails
+    it; a NaN or infinite heading raises in the world transform, before
+    either path.
     """
     r = canvas.raster
     h, w = r.shape
     scale = canvas.scale
-    inside = scale > 0.0 and math.isfinite(pose.theta)
+    inside = scale > 0.0
     if inside:
         m = layout._reach / scale + 1.0
         x, y = pose.x / scale - 0.5, pose.y / scale - 0.5

@@ -14,6 +14,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from sarbot import cli
 from sarbot import config as configlib
@@ -344,6 +346,79 @@ def test_criterion_08_pipeline_antisymmetry_on_mirrored_world():
         f"{worst['e']:.2e} GSV, |C+C'| = {worst['c']:.2e}, |P+P'| = "
         f"{worst['p']:.2e}, |MC+MC'| = {worst['mc']:.2e}",
     )
+
+
+@st.composite
+def mirrored_tracks(draw):
+    """A track that is mirror-symmetric about a horizontal line y = c, and
+    c. Every length is a whole number of quarter-centimetre pixels, so the
+    axis and every pixel centre are exact."""
+    quarter = lambda lo, hi: draw(st.integers(4 * lo, 4 * hi)) / 4.0
+    margin = quarter(25, 40)
+    kind = draw(st.sampled_from(["straight", "circle", "rounded_rect"]))
+    if kind == "straight":
+        canvas = simenv.make_track(kind, {"length": quarter(40, 200)}, margin=margin)
+        c = canvas.start[1]
+    elif kind == "circle":
+        radius = quarter(20, 60)
+        canvas = simenv.make_track(kind, {"radius": radius}, margin=margin)
+        c = canvas.start[1] + radius
+    else:
+        rw, rh = quarter(60, 120), quarter(60, 120)
+        right, left = quarter(3, 25), quarter(3, 25)  # bottom and top corners alike
+        canvas = simenv.make_track(
+            kind, {"rect_width": rw, "rect_height": rh, "radii": [right, right, left, left]},
+            margin=margin)
+        c = canvas.start[1] + rh / 2
+    # the raster mirrors about c: row j onto row 2c / scale - 1 - j
+    r = canvas.raster
+    h = r.shape[0]
+    k = 2.0 * c / canvas.scale - 1.0
+    assert k == int(k)
+    for j in range(h):
+        mirror = int(k) - j
+        assert np.array_equal(r[j], r[mirror]) if 0 <= mirror < h else (r[j] == 255.0).all()
+    return kind, canvas, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirrored_tracks(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_the_pipeline_is_antisymmetric_on_random_mirrored_tracks(track, seed, ticks):
+    # criterion 8 over random poses on random mirror-symmetric tracks: the
+    # mirrored pose (x, 2c - y, -theta) sees the mirrored scene, and grid,
+    # predictors, forward and E negate within criterion 8's tolerances
+    kind, canvas, c = track
+    event(kind)
+    cfg = default_trial_config()
+    rng = np.random.default_rng(seed)
+    net_a, net_b = cfg.net.build(seed=seed % 1000), cfg.net.build(seed=seed % 1000)
+    fa_a, fa_b = signals.FilterArray(), signals.FilterArray()
+    reflex = replace(cfg.reflex, loop_gain=5e-6)
+    path = canvas.path
+    for _ in range(ticks):
+        # near the line: up to 4 cm off it, heading along it within 0.4 rad
+        i = int(rng.integers(len(path) - 1))
+        (x0, y0), (x1, y1) = path[i], path[i + 1]
+        along = math.atan2(y1 - y0, x1 - x0)
+        off = rng.uniform(-4.0, 4.0)
+        x, y = x0 - off * math.sin(along), y0 + off * math.cos(along)
+        theta = along + rng.uniform(-0.4, 0.4)
+        pose_a = simenv.RobotPose(x, y, theta)
+        pose_b = simenv.RobotPose(x, 2.0 * c - y, -theta)
+        grid_a, readout_a = simenv.sample_camera(canvas, pose_a, cfg.layout)
+        grid_b, readout_b = simenv.sample_camera(canvas, pose_b, cfg.layout)
+        ca, cb = signals.difference_signals(grid_a), signals.difference_signals(grid_b)
+        pa, pb = fa_a.step(ca), fa_b.step(cb)
+        apa, apb = net_a.forward(pa), net_b.forward(pb)
+        ea = loop.control_error(readout_a, reflex)
+        eb = loop.control_error(readout_b, reflex)
+        mca = loop.motor_command(loop.reflex_action(ea, reflex), apa)
+        mcb = loop.motor_command(loop.reflex_action(eb, reflex), apb)
+        assert float(np.abs(ca + cb).max()) <= 1.0
+        assert float(np.abs(pa + pb).max()) <= 1.0
+        assert abs(ea + eb) <= 1.0
+        assert abs(mca + mcb) <= 0.5
+    event("line seen" if grid_a.min() < 128.0 else "line not seen")
 
 
 # ----------------------------------------------------------------------

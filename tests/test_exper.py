@@ -82,6 +82,29 @@ def test_moving_average_is_the_fsum_of_each_window(e, w):
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in fsum_window_means(e, w)]
 
 
+_SUBNORMAL_MAX = 2.0**-1022 - 2.0**-1074
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.integers(1, 600),
+    samples=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-_SUBNORMAL_MAX, _SUBNORMAL_MAX),  # subnormals
+            st.floats(-1e300, 1e300),
+            st.sampled_from([2.0**-1074, 1e300, -1e300, 1.0, 0.1]),
+        ),
+        min_size=1, max_size=900,
+    ),
+)
+def test_each_trailing_mean_is_the_fsum_of_its_window(w, samples):
+    trailing = exper.TrailingMean(w)
+    for i, x in enumerate(samples):
+        window = samples[max(0, i - w + 1) : i + 1]
+        assert trailing.push(x).hex() == (math.fsum(window) / len(window)).hex()
+
+
 def test_moving_average_rejects_non_finite_samples():
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericError):

@@ -167,6 +167,48 @@ def test_a_copied_net_checks_its_own_sum_outputs(clone):
     assert np.isnan(twin.v[1][0]) and not np.isnan(net.v[1]).any()
 
 
+def mixed_net():
+    """A net of tanh, linear, tanh and linear layers."""
+    rng = np.random.default_rng(3)
+    return Network([rng.uniform(-0.5, 0.5, s) for s in ((5, 6), (4, 5), (3, 4), (2, 3))],
+                   ["tanh", "linear", "tanh", "linear"], [1.0, -2.0])
+
+
+def test_the_forward_writes_each_activation_into_its_own_buffer():
+    net = mixed_net()
+    buffers = list(net.a)
+    rng = np.random.default_rng(4)
+    net.forward(rng.uniform(-3, 3, 6))
+    p = rng.uniform(-3, 3, 6)
+    net.forward(p)
+    _, _, ref_a = reference_forward(net, p)
+    for l in range(net.n_layers):
+        assert net.a[l] is buffers[l]
+        assert net.a[l].tobytes() == ref_a[l].tobytes()
+    # a linear layer's activation is its sum-output; nothing else is shared
+    assert net.a[1] is net.v[1] and net.a[3] is net.v[3]
+    arrays = list(net.v) + [net.a[0], net.a[2]]
+    for j, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[j + 1 :])
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))])
+def test_a_copied_net_owns_its_activation_buffers(clone):
+    net = mixed_net()
+    rng = np.random.default_rng(5)
+    net.forward(rng.uniform(-3, 3, 6))
+    kept = [a.tobytes() for a in net.a]
+    twin = clone(net)
+    assert [a.tobytes() for a in twin.a] == kept  # the last forward's state
+    assert twin.a[1] is twin.v[1] and twin.a[3] is twin.v[3]
+    for mine in twin.a:
+        assert not any(np.shares_memory(mine, theirs) for theirs in (*net.a, *net.v))
+    p = rng.uniform(-3, 3, 6)
+    twin.forward(p)
+    assert [a.tobytes() for a in net.a] == kept
+    assert [a.tobytes() for a in twin.a] == [a.tobytes() for a in reference_forward(twin, p)[2]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 12), min_size=2, max_size=7),

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from sarbot.errors import ConfigError, OutOfBoundsError
-from sarbot.loop import ReflexConfig, control_error, motor_command, reflex_action, saturate
+from sarbot.loop import (
+    LdrReadout,
+    ReflexConfig,
+    control_error,
+    motor_command,
+    reflex_action,
+    saturate,
+)
 from sarbot.pgmio import read_pgm
 from sarbot import simenv
 from sarbot.signals import difference_signals
@@ -582,11 +589,21 @@ def test_a_nan_point_or_pose_is_off_the_canvas():
         for pts in ([[nan, 3.0], [3.0, 3.0]], [[3.0, 3.0], [3.0, nan]]):
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
                 sample_points(canvas, np.array(pts))
-        for pose in (RobotPose(nan, 10.0, 0.0), RobotPose(10.0, 10.0, nan)):
+        for pose in (RobotPose(nan, 10.0, 0.0), RobotPose(10.0, 10.0, nan),
+                     RobotPose(10.0, 10.0, math.inf), RobotPose(10.0, 10.0, -math.inf)):
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
                 sample_ldr(canvas, pose, SensorLayout())
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
                 sample_ldr(canvas, [RobotPose(10.0, 10.0, 0.0), pose], SensorLayout())
+        # a heading that is not finite, on a canvas whose every edge lies
+        # beyond the camera's reach: the same error, not math.cos's ValueError
+        wide = blank_canvas(side=60.0)
+        for theta in (nan, math.inf, -math.inf):
+            pose = RobotPose(30.0, 30.0, theta)
+            with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
+                sample_camera(wide, pose, SensorLayout())
+            with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
+                simenv._to_world(pose, SensorLayout()._pts)
 
 
 # Reference: the per-axis lookup over (..., 2) points, with each sensor
@@ -782,6 +799,57 @@ def test_a_gather_inside_and_one_touching_the_last_pixel_equal_the_reference(
     assert vals.tobytes() == _ref_sample_points(canvas, pts.T).tobytes()
 
 
+def pixel_coordinates(last):
+    """Pixel coordinates on an axis whose last pixel is ``last``: exactly
+    0.0, a pixel centre, the last one, a hair either side of a centre, or
+    anywhere between."""
+    centre = st.integers(0, last).map(float)
+    return st.one_of(
+        st.just(0.0), centre, st.just(float(last)), st.floats(0.0, float(last)),
+        centre.map(lambda v: math.nextafter(v, math.inf)).filter(lambda v: v <= last),
+        centre.map(lambda v: math.nextafter(v, -math.inf)).filter(lambda v: v >= 0.0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_gather_reads_whole_and_near_whole_coordinates_as_the_reference(data):
+    # coordinates of exactly 0.0, on a pixel centre, on the last pixel or a
+    # hair either side of a centre are where a floor, its cast to intp and
+    # the fraction can go wrong; the unclamped corners serve points below
+    # the last pixel row and column, the clamped ones a gather with a point
+    # on it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # power-of-two scales: a whole coordinate survives the trip to cm and back
+    scale = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+    h, w = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 40))
+    raster = rng.uniform(0.0, 256.0, (h, w))
+    canvas = Canvas(raster=raster, scale=scale, start=(0.0, 0.0, 0.0), track_kind="random")
+    n = data.draw(st.integers(1, 12))
+    px = np.array(data.draw(st.lists(pixel_coordinates(w - 1), min_size=n, max_size=n)))
+    py = np.array(data.draw(st.lists(pixel_coordinates(h - 1), min_size=n, max_size=n)))
+    event("clamped" if px.max() == w - 1 or py.max() == h - 1 else "unclamped")
+    pts = np.stack([(px + 0.5) * scale, (py + 0.5) * scale])
+    assert sample_points(canvas, pts).tobytes() == _ref_sample_points(canvas, pts.T).tobytes()
+
+
+def test_a_pose_and_a_readout_survive_pickle_copy_and_replace():
+    pose = RobotPose(1.5, -2.25, 0.3, wheel_base=12.0, v0=4.0)
+    readout = LdrReadout(g=np.array([1.0, 2.0, 3.0]), g_star=np.array([0.5, 0.0, 255.0]))
+    for clone in (lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy):
+        assert clone(pose) == pose
+        twin = clone(readout)
+        assert (twin.g.tobytes(), twin.g_star.tobytes()) == (readout.g.tobytes(),
+                                                             readout.g_star.tobytes())
+    assert dataclasses.replace(pose, theta=-1.0) == RobotPose(1.5, -2.25, -1.0, 12.0, 4.0)
+    swapped = dataclasses.replace(readout, g=readout.g_star)
+    assert swapped.g is readout.g_star and swapped.g_star is readout.g_star
+    # slotted, so no instance dict; the pose stays frozen
+    assert not hasattr(pose, "__dict__") and not hasattr(readout, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.x = 0.0
+
+
 def test_a_shipped_or_replaced_canvas_samples_its_own_raster():
     # run_batch ships the canvas to worker processes
     canvas = make_track("circle", {"radius": 10.0}, margin=5.0)
@@ -825,18 +893,17 @@ def _camera_outcome(canvas, pose, layout):
     """sample_camera's grid, g and g_star, or the type of what it raises."""
     try:
         grid, readout = sample_camera(canvas, pose, layout)
-    except (OutOfBoundsError, ValueError) as exc:
+    except OutOfBoundsError as exc:
         return type(exc)
     return grid, readout.g, readout.g_star
 
 
 def _camera_reference(canvas, pose, layout):
     """The same from sample_points over every world point, with
-    ndarray.mean for the means; math.cos raises ValueError for an infinite
-    heading."""
+    ndarray.mean for the means."""
     try:
         vals = sample_points(canvas, simenv._to_world(pose, layout._pts))
-    except (OutOfBoundsError, ValueError) as exc:
+    except OutOfBoundsError as exc:
         return type(exc)
     n = layout._n_cam
     g = 255.0 - vals[n:].reshape(6, -1).mean(axis=1)
@@ -897,16 +964,17 @@ def test_the_in_place_path_keeps_every_bit_of_sample_points(data):
                        lambda *a: bounds_tested.append(a) or sample_points(*a))
             got = _camera_outcome(canvas, pose, layout)
         want = _camera_reference(canvas, pose, layout)
-        # only a pose with a finite heading in range of every edge skips the
-        # bounds test; an infinite heading raises before either path
+        # only a pose in range of every edge skips the bounds test; a NaN
+        # or infinite heading raises in the world transform, before either
         h, w = canvas.raster.shape
         m = layout._reach / scale + 1.0
         x, y = pose.x / scale - 0.5, pose.y / scale - 0.5
-        in_place = (m <= x <= w - 1.0 - m and m <= y <= h - 1.0 - m
-                    and math.isfinite(pose.theta))
+        in_place = m <= x <= w - 1.0 - m and m <= y <= h - 1.0 - m
         event("in place" if in_place else "bounds-tested")
-        if not math.isinf(pose.theta):
+        if math.isfinite(pose.theta):
             assert (not bounds_tested) == in_place
+        else:
+            assert got is OutOfBoundsError and not bounds_tested
         if isinstance(want, type):
             assert got is want
             continue
