@@ -99,6 +99,10 @@ class RunParams:
             raise ConfigError("threshold and window must be positive")
         if not (self.max_duration > 0 and self.warmup >= 0):
             raise ConfigError("need max_duration > 0 and warmup >= 0")
+        if not (self.grace >= 0 and self.distance_interval > 0
+                and self.lost_line_timeout > 0):
+            raise ConfigError(
+                "need grace >= 0, distance_interval > 0 and lost_line_timeout > 0")
 
 
 @dataclass

@@ -459,6 +459,11 @@ def _arc_dist(px, py, cx, cy, r, a0, a1):
     return np.where(inside, radial, np.minimum(e0, e1))
 
 
+def _ring_dist(px, py, cx, cy, r):
+    """Distance to the full circle of radius r about (cx, cy)."""
+    return np.abs(np.hypot(px - cx, py - cy) - r)
+
+
 def _canvas_shape(width_cm, height_cm, scale):
     """Shape (h, w) of a canvas covering the given extent."""
     return int(math.ceil(height_cm / scale)), int(math.ceil(width_cm / scale))
@@ -467,6 +472,7 @@ def _canvas_shape(width_cm, height_cm, scale):
 def _near(seeds, reach, scale, shape):
     """Mask of the pixels whose centre may lie within ``reach`` of a seed.
 
+    Only the spline's raster uses it, seeded with its dense point cloud.
     Marks the pixel of every seed point (rows x, y in cm, on the canvas or
     less than the dilation beyond its edge) and dilates that mask by
     ``ceil(reach / scale) + 1`` pixels along each axis with shifted boolean
@@ -612,43 +618,39 @@ def make_track(
     * ``spline``: {points, samples_per_segment} -- closed Catmull-Rom loop
       through the control points; rejects self-intersecting shapes.
 
-    Each kind's distance field is evaluated only on the pixels near the
-    line (see :func:`_near`), within a reach of ``width / 2 + scale`` of its
-    seed points. The spline's seeds are the dense point cloud its field
-    measures the distance to; the other kinds seed with their ``path``
-    polyline, whose points lie on the curve, and add half the polyline's
-    largest measured gap to the reach. ``_band`` shades only those pixels;
-    every other pixel takes the scalar ``_band(inf)``, the same IEEE
-    operations on an infinite distance and so the same bits. Within the
-    near pixels, each of the rounded rectangle's eight pieces is measured
-    only on the pixels inside its bounding box widened by the reach, and
-    the spline's tree query stops at the reach; a pixel that no piece (or
-    no cloud point) is near gets an infinite distance. The antialiased edge
-    reaches background exactly at a distance of ``width / 2 + scale / 2``,
-    half a pixel inside the reach, and ``_band`` rises with the distance
-    and clips every distance beyond that to the same background value. So
-    a pixel short of background is measured by the piece nearest to it,
-    and the raster is the one a field over the whole canvas would give,
-    byte for byte.
+    The straight, the circle and the rounded rectangle are each a list of
+    pieces (distance function, its args, its polyline), in path order: one
+    segment, one ring, or four sides and four corner arcs; ``path`` is their
+    polylines end to end. The raster starts at the scalar ``_band(inf)``, the
+    background, and each piece shades the pixels of its polyline's bounding
+    box widened by ``reach`` and one spare pixel, clipped to the canvas,
+    keeping the smaller of a pixel's value and its band. ``_band`` rises
+    with the distance under round-to-nearest, so the smallest band is the
+    band of the nearest piece. It reaches background exactly at a distance
+    of ``width / 2 + scale / 2``, half a pixel inside the reach, and clips
+    every distance beyond that to the same background value; that half
+    pixel covers the sagitta by which an arc bulges out of its polyline's
+    box, so every pixel short of background lies in the box of each piece
+    that can shade it. The spare pixel is a margin against rounding, not a
+    necessity. The spline's tree query runs only on the pixels near its
+    dense point cloud (see :func:`_near`) and stops at the reach; a pixel
+    beyond it reads an infinite distance. Either way the raster is the one a
+    distance field over the whole canvas would give, byte for byte.
     """
     params = {**TRACK_PARAMS.get(kind, {}), **(params or {})}
     if width <= 0 or scale <= 0 or margin <= 0:
         raise ConfigError("track width, scale and margin must be positive")
     if not (0 <= path_value < bg_value < 256):
         raise ConfigError("need 0 <= path_value < bg_value < 256")
-    reach = width / 2 + scale  # around the line, the pixels whose field is measured
+    reach = width / 2 + scale  # around the line, the pixels whose distance is measured
 
     if kind == "straight":
         length = float(params.pop("length"))
         y0 = _snap(margin, scale)
         x0, x1 = margin, margin + length
         shape = _canvas_shape(length + 2 * margin, 2 * margin, scale)
-
-        def field(x, y):
-            return _seg_dist(x, y, x0, y0, x1, y0)
-
         start = (x0 + 5.0, y0, 0.0)
-        path = _seg_points(x0, y0, x1, y0, scale)
+        pieces = [(_seg_dist, (x0, y0, x1, y0), _seg_points(x0, y0, x1, y0, scale))]
     elif kind == "circle":
         r = float(params.pop("radius"))
         if r <= width:
@@ -657,12 +659,9 @@ def make_track(
         cy = _snap(margin + r, scale)
         side = 2 * (r + margin)
         shape = _canvas_shape(side, side, scale)
-
-        def field(x, y):
-            return np.abs(np.hypot(x - cx, y - cy) - r)
-
         start = (cx, cy - r, 0.0)
-        path = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
+        ring = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
+        pieces = [(_ring_dist, (cx, cy, r), ring)]
     elif kind == "rounded_rect":
         rw = float(params.pop("rect_width"))
         rh = float(params.pop("rect_height"))
@@ -676,33 +675,17 @@ def make_track(
         rbr, rtr, rtl, rbl = radii
         shape = _canvas_shape(rw + 2 * margin, rh + 2 * margin, scale)
         pi = math.pi
-        # the loop's eight pieces in path order, piece k running from ends[k]
-        # to ends[k + 1]: the bottom side, the bottom-right arc, the right
-        # side and so on. Each piece is monotonic in x and in y, so its two
-        # ends span its bounding box.
-        ends = [(xl + rbl, yb), (xr - rbr, yb), (xr, yb + rbr), (xr, yt - rtr),
-                (xr - rtr, yt), (xl + rtl, yt), (xl, yt - rtl), (xl, yb + rbl)]
+        # the bottom side, the bottom-right arc, the right side and so on
+        sides = [(xl + rbl, yb, xr - rbr, yb), (xr, yb + rbr, xr, yt - rtr),
+                 (xr - rtr, yt, xl + rtl, yt), (xl, yt - rtl, xl, yb + rbl)]
         arcs = [(xr - rbr, yb + rbr, rbr, -pi / 2, 0.0),
                 (xr - rtr, yt - rtr, rtr, 0.0, pi / 2),
                 (xl + rtl, yt - rtl, rtl, pi / 2, pi),
                 (xl + rbl, yb + rbl, rbl, pi, 1.5 * pi)]
-        pieces = [piece for k, arc in enumerate(arcs) for piece in
-                  ((_seg_dist, (*ends[2 * k], *ends[2 * k + 1])), (_arc_dist, arc))]
-        boxes = [(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-                 for (ax, ay), (bx, by) in zip(ends, ends[1:] + ends[:1])]
-
-        def field(x, y):
-            # each piece on the pixels within the reach of its box alone
-            dist = np.full(x.shape, np.inf)
-            for (piece, args), (x0, y0, x1, y1) in zip(pieces, boxes):
-                k = np.flatnonzero((x >= x0 - reach) & (x <= x1 + reach)
-                                   & (y >= y0 - reach) & (y <= y1 + reach))
-                dist[k] = np.minimum(dist[k], piece(x[k], y[k], *args))
-            return dist
-
+        pieces = [(dist, args, points(*args, scale)) for side, arc in zip(sides, arcs)
+                  for dist, points, args in ((_seg_dist, _seg_points, side),
+                                             (_arc_dist, _arc_points, arc))]
         start = ((xl + rbl + xr - rbr) / 2.0, yb, 0.0)
-        polyline = {_seg_dist: _seg_points, _arc_dist: _arc_points}
-        path = np.concatenate([polyline[piece](*args, scale) for piece, args in pieces])
     elif kind == "spline":
         points = params.pop("points", None)
         if points is None or len(points) < 4:
@@ -727,12 +710,6 @@ def make_track(
         k = np.arange(1, len(i) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
         t = (k * np.repeat(1.0 / n, counts))[:, None]
         cloud = np.concatenate([poly, poly[i] + t * seg[i]])
-        tree = cKDTree(cloud)
-
-        def field(x, y):
-            # a pixel beyond the reach reads inf, which shades as background
-            return tree.query(np.stack([x, y], axis=1), distance_upper_bound=reach)[0]
-
         tangent = poly[1] - poly[0]
         start = (poly[0][0], poly[0][1], math.atan2(tangent[1], tangent[0]))
         path = poly
@@ -741,17 +718,25 @@ def make_track(
 
     if params:
         raise ConfigError(f"unknown track params for {kind}: {sorted(params)}")
-    if kind == "spline":
-        near = _near(cloud, reach, scale, shape)
-    else:
-        # the field measures the distance to the curve itself, and each curve
-        # point lies within about half a gap of a path point
-        gap = np.hypot(*np.diff(path, axis=0).T).max()
-        near = _near(path, reach + gap / 2, scale, shape)
-    iy, ix = np.nonzero(near)
     raster = np.full(shape, _band(np.inf, width, scale, path_value, bg_value))
-    raster[iy, ix] = _band(field((ix + 0.5) * scale, (iy + 0.5) * scale),
-                           width, scale, path_value, bg_value)
+    if kind == "spline":
+        iy, ix = np.nonzero(_near(cloud, reach, scale, shape))
+        pixels = np.stack([(ix + 0.5) * scale, (iy + 0.5) * scale], axis=1)
+        dist = cKDTree(cloud).query(pixels, distance_upper_bound=reach)[0]
+        raster[iy, ix] = _band(dist, width, scale, path_value, bg_value)
+    else:
+        path = np.concatenate([poly for _, _, poly in pieces])
+        h, w = shape
+        for dist, args, poly in pieces:
+            # the pixels within reach of the polyline's box, and a spare one
+            lo = np.floor((poly.min(axis=0) - reach) / scale).astype(np.intp) - 1
+            hi = np.ceil((poly.max(axis=0) + reach) / scale).astype(np.intp) + 1
+            (i0, j0), (i1, j1) = np.maximum(lo, 0), np.minimum(hi, (w, h))
+            x = ((np.arange(i0, i1) + 0.5) * scale)[None, :]
+            y = ((np.arange(j0, j1) + 0.5) * scale)[:, None]
+            box = raster[j0:j1, i0:i1]
+            band = _band(dist(x, y, *args), width, scale, path_value, bg_value)
+            np.minimum(box, band, out=box)
     return Canvas(
         raster=raster,
         scale=scale,

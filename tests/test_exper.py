@@ -429,6 +429,19 @@ def test_sim_params_validation():
             SimParams(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"lost_line_timeout": 0.0}, {"lost_line_timeout": -1.0}, {"grace": -1.0},
+    {"distance_interval": 0.0}, {"distance_interval": -0.5},
+    {"lost_line_timeout": math.nan}, {"grace": math.nan}, {"distance_interval": math.nan},
+], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))}")
+def test_run_params_reject_what_the_config_table_rejects(bad):
+    # a lost-line timeout of -1 s used to abort a trial at t = 0 with no
+    # tick, for "line lost from camera view" while the line was in view
+    with pytest.raises(ConfigError):
+        exper.RunParams(max_duration=5.0, **bad)
+    exper.RunParams(max_duration=5.0, grace=0.0)
+
+
 def test_background_above_255_runs():
     # a background lighter than 255 makes G = 255 - GSV negative; the trial
     # and the probe must accept such readings

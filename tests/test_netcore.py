@@ -691,6 +691,38 @@ def test_positive_scaling_leaves_gamma_and_sar_update_unchanged():
             )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 8), min_size=4, max_size=7),
+    w0=st.sampled_from([0.05, 0.9, 40.0]),
+    k=st.integers(1, 30).flatmap(lambda k: st.sampled_from([k, -k])),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sar_layer_step_is_immune_to_scaling_the_layers_above_its_next(
+    sizes, w0, k, seed, data
+):
+    # a tanh stack of depth len(sizes) - 1 = 3..6; w0 = 40 saturates layers,
+    # so their slopes round to 0. Layer l's sar step reads the weights above
+    # layer l + 1 only through the signs of the cascade. The factor is a power
+    # of two, so every scaled product and sum is the unscaled one times 2^k
+    # exactly and keeps its sign; a factor such as 0.1 rounds, and can flip
+    # the sign of a sum that nearly cancels.
+    rng = np.random.default_rng(seed)
+    net = make_net(sizes, seed=int(rng.integers(2**32)), w0=w0,
+                   m=rng.uniform(-2, 2, sizes[-1]))
+    l = data.draw(st.integers(0, net.n_layers - 3), label="layer")
+    p = rng.uniform(-1, 1, sizes[0])
+    e = float(rng.normal())
+    rule = UpdateRule(SAR, 0.3)
+    net.forward(p)
+    base = net.compute_update(rule, e, 2.0 * e)[l]
+    for w in net.weights[l + 2:]:
+        w *= 2.0**k
+    net.forward(p)
+    assert net.compute_update(rule, e, 2.0 * e)[l].tobytes() == base.tobytes()
+
+
 # ----------------------------------------------------------------------
 # the passes against the numpy forms they replace, byte for byte
 # ----------------------------------------------------------------------

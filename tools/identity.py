@@ -86,13 +86,23 @@ CASES = {
         "trial": {"max_duration": 120.0},
     }),
     "track-preview": ("track-preview", {"track": SPLINE}),
-    # a rounded rectangle with uneven corners, whose eight pieces' distance
-    # fields are each evaluated only near their own piece
+    # a rounded rectangle with uneven corners, whose eight pieces each shade
+    # only the pixels near their own box
     "rect-preview": ("track-preview", {"track": {
         "kind": "rounded_rect",
         "params": {"rect_width": 110.0, "rect_height": 80.0,
                    "radii": [3.0, 25.0, 7.0, 19.0]},
         "width": 3.0, "scale": 0.3, "path_value": 17, "bg_value": 241,
+    }}),
+    # a straight and a circle on margins below the reach of width / 2 +
+    # scale, so that the canvas edge clips the box of their one piece
+    "straight-preview": ("track-preview", {"track": {
+        "kind": "straight", "params": {"length": 47.5}, "margin": 1.2,
+        "width": 2.6, "scale": 0.35, "path_value": 23, "bg_value": 229,
+    }}),
+    "circle-preview": ("track-preview", {"track": {
+        "kind": "circle", "params": {"radius": 9.5}, "margin": 1.5,
+        "width": 3.4, "scale": 0.45, "path_value": 9, "bg_value": 250,
     }}),
     "batch": ("batch", {
         "trial": {"max_duration": 60.0},
