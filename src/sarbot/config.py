@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import operator
 from functools import reduce
 from typing import NamedTuple
@@ -27,7 +28,10 @@ from .errors import ConfigError
 
 
 def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number: an int (not a bool) or a finite float."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _nums(v) -> bool:

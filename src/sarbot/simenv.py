@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, OutOfBoundsError
 from .loop import LdrReadout
@@ -464,34 +463,39 @@ def _ring_dist(px, py, cx, cy, r):
     return np.abs(np.hypot(px - cx, py - cy) - r)
 
 
+def _cloud_dist(px, py, pts):
+    """Distance to the nearest of the points ``pts`` (m, 2): the square root
+    of the least ``dx * dx + dy * dy``, as a k-d tree's query computes it."""
+    dx, dy = px - pts[:, 0, None, None], py - pts[:, 1, None, None]
+    return np.sqrt(np.min(dx * dx + dy * dy, axis=0))
+
+
+_STRETCH = 64  # points of a ring's polyline or a spline's cloud in one piece
+
+
+def _stretches(points):
+    """``points`` cut into consecutive stretches of ``_STRETCH`` points."""
+    return [points[i : i + _STRETCH] for i in range(0, len(points), _STRETCH)]
+
+
+def _param(params, name, need, ok=lambda a: a.ndim == 0 and a > 0):
+    """Pop track param ``name`` as a float array, which must be finite and
+    pass ``ok`` (by default, be one positive number); otherwise raise a
+    ConfigError that says what it ``need``s and names the param."""
+    value = params.pop(name, None)
+    try:
+        a = np.asarray(value, dtype=float)
+        good = bool(np.isfinite(a).all() and ok(a))
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if not good:
+        raise ConfigError(f"{need}; got {name}: {value!r}")
+    return a
+
+
 def _canvas_shape(width_cm, height_cm, scale):
     """Shape (h, w) of a canvas covering the given extent."""
     return int(math.ceil(height_cm / scale)), int(math.ceil(width_cm / scale))
-
-
-def _near(seeds, reach, scale, shape):
-    """Mask of the pixels whose centre may lie within ``reach`` of a seed.
-
-    Only the spline's raster uses it, seeded with its dense point cloud.
-    Marks the pixel of every seed point (rows x, y in cm, on the canvas or
-    less than the dilation beyond its edge) and dilates that mask by
-    ``ceil(reach / scale) + 1`` pixels along each axis with shifted boolean
-    ORs. A pixel centre within ``reach`` of a seed is less than
-    ``reach / scale + 0.5`` pixels from the seed's pixel along either axis,
-    so the mask holds it with a pixel to spare.
-    """
-    h, w = shape
-    k = math.ceil(reach / scale) + 1
-    marks = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
-    ix, iy = np.floor(seeds.T / scale).astype(np.intp) + k
-    marks[iy, ix] = True
-    rows = np.zeros((h + 2 * k, w), dtype=bool)
-    for d in range(2 * k + 1):
-        rows |= marks[:, d : d + w]
-    near = np.zeros(shape, dtype=bool)
-    for d in range(2 * k + 1):
-        near |= rows[d : d + h]
-    return near
 
 
 def _band(dist, width, scale, path_value, bg_value):
@@ -618,10 +622,14 @@ def make_track(
     * ``spline``: {points, samples_per_segment} -- closed Catmull-Rom loop
       through the control points; rejects self-intersecting shapes.
 
-    The straight, the circle and the rounded rectangle are each a list of
-    pieces (distance function, its args, its polyline), in path order: one
-    segment, one ring, or four sides and four corner arcs; ``path`` is their
-    polylines end to end. The raster starts at the scalar ``_band(inf)``, the
+    A malformed param raises a ConfigError that names it.
+
+    Every kind is a list of pieces (distance function, its args, its
+    polyline) in path order: a segment; the ring's polyline cut into
+    stretches of ``_STRETCH`` points; four sides and four corner arcs; or
+    the spline's dense point cloud cut the same way. ``path`` is the
+    pieces' polylines end to end, or the spline's Catmull-Rom polyline. One
+    loop fills the raster: it starts at the scalar ``_band(inf)``, the
     background, and each piece shades the pixels of its polyline's bounding
     box widened by ``reach`` and one spare pixel, clipped to the canvas,
     keeping the smaller of a pixel's value and its band. ``_band`` rises
@@ -632,42 +640,44 @@ def make_track(
     pixel covers the sagitta by which an arc bulges out of its polyline's
     box, so every pixel short of background lies in the box of each piece
     that can shade it. The spare pixel is a margin against rounding, not a
-    necessity. The spline's tree query runs only on the pixels near its
-    dense point cloud (see :func:`_near`) and stops at the reach; a pixel
-    beyond it reads an infinite distance. Either way the raster is the one a
-    distance field over the whole canvas would give, byte for byte.
+    necessity. The ring's stretches all measure the one ``_ring_dist``.
+    :func:`_cloud_dist` takes one square root of the least ``dx * dx +
+    dy * dy`` over its stretch, as a k-d tree's nearest-point query does; a
+    minimum is exact and a correctly rounded ``sqrt`` never decreases, so
+    the least over the stretches is the query's distance to the whole
+    cloud. Either way the raster is the one a distance field over the whole
+    canvas would give, byte for byte.
     """
     params = {**TRACK_PARAMS.get(kind, {}), **(params or {})}
-    if width <= 0 or scale <= 0 or margin <= 0:
+    # written so that a NaN fails it
+    if not (width > 0 and scale > 0 and margin > 0):
         raise ConfigError("track width, scale and margin must be positive")
     if not (0 <= path_value < bg_value < 256):
         raise ConfigError("need 0 <= path_value < bg_value < 256")
     reach = width / 2 + scale  # around the line, the pixels whose distance is measured
 
     if kind == "straight":
-        length = float(params.pop("length"))
+        length = float(_param(params, "length", "straight track length must be positive"))
         y0 = _snap(margin, scale)
         x0, x1 = margin, margin + length
         shape = _canvas_shape(length + 2 * margin, 2 * margin, scale)
         start = (x0 + 5.0, y0, 0.0)
-        pieces = [(_seg_dist, (x0, y0, x1, y0), _seg_points(x0, y0, x1, y0, scale))]
+        path = _seg_points(x0, y0, x1, y0, scale)
+        pieces = [(_seg_dist, (x0, y0, x1, y0), path)]
     elif kind == "circle":
-        r = float(params.pop("radius"))
-        if r <= width:
-            raise ConfigError("circle radius must exceed the line width")
-        cx = _snap(margin + r, scale)
-        cy = _snap(margin + r, scale)
+        r = float(_param(params, "radius", "circle radius must exceed the line width",
+                         lambda a: a.ndim == 0 and a > width))
+        cx = cy = _snap(margin + r, scale)
         side = 2 * (r + margin)
         shape = _canvas_shape(side, side, scale)
         start = (cx, cy - r, 0.0)
-        ring = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
-        pieces = [(_ring_dist, (cx, cy, r), ring)]
+        path = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
+        pieces = [(_ring_dist, (cx, cy, r), ring) for ring in _stretches(path)]
     elif kind == "rounded_rect":
-        rw = float(params.pop("rect_width"))
-        rh = float(params.pop("rect_height"))
-        radii = [float(v) for v in params.pop("radii")]
-        if len(radii) != 4 or any(r <= 0 for r in radii):
-            raise ConfigError("rounded_rect needs 4 positive corner radii")
+        rw, rh = (float(_param(params, name, f"rounded_rect {name} must be positive"))
+                  for name in ("rect_width", "rect_height"))
+        radii = _param(params, "radii", "rounded_rect needs 4 positive corner radii",
+                       lambda a: a.shape == (4,) and (a > 0).all()).tolist()
         if max(radii) * 2 >= min(rw, rh):
             raise ConfigError("corner radii too large for the rectangle")
         xl, xr = _snap(margin, scale), _snap(margin + rw, scale)
@@ -685,62 +695,48 @@ def make_track(
         pieces = [(dist, args, points(*args, scale)) for side, arc in zip(sides, arcs)
                   for dist, points, args in ((_seg_dist, _seg_points, side),
                                              (_arc_dist, _arc_points, arc))]
+        path = np.concatenate([poly for _, _, poly in pieces])
         start = ((xl + rbl + xr - rbr) / 2.0, yb, 0.0)
     elif kind == "spline":
-        points = params.pop("points", None)
-        if points is None or len(points) < 4:
-            raise ConfigError("spline track needs at least 4 control points")
-        samples = int(params.pop("samples_per_segment"))
-        poly = _catmull_rom(np.asarray(points, dtype=float), samples)
-        if _self_intersects(poly):
+        points = _param(
+            params, "points", "spline track needs at least 4 control points, each (x, y)",
+            lambda a: a.ndim == 2 and a.shape[1] == 2 and len(a) >= 4)
+        samples = int(_param(
+            params, "samples_per_segment", "spline samples_per_segment must be a positive "
+            "integer", lambda a: a.ndim == 0 and a % 1 == 0 and a >= 1))
+        path = _catmull_rom(points, samples)
+        if _self_intersects(path):
             raise ConfigError("spline track self-intersects")
-        poly = poly - poly.min(axis=0) + margin
-        bbox = poly.max(axis=0) + margin
+        path = path - path.min(axis=0) + margin
+        bbox = path.max(axis=0) + margin
         shape = _canvas_shape(bbox[0], bbox[1], scale)
-        # dense resampling keeps the nearest-point distance within ~scale/4
-        seg = np.diff(np.vstack([poly, poly[:1]]), axis=0)
+        tangent = path[1] - path[0]
+        start = (path[0][0], path[0][1], math.atan2(tangent[1], tangent[0]))
+        # the dense cloud in path order: segment i gives path[i] + t * seg[i]
+        # at the n steps t = k * (1.0 / n) of np.linspace(0, 1, n, endpoint=False),
+        # n = int(len / (scale / 4)) + 1 if it is longer than scale / 4, else 1
+        seg = np.diff(path, axis=0, append=path[:1])
         seglen = np.hypot(seg[:, 0], seg[:, 1])
-        # segment i gets the n - 1 interior points k / n, k = 1 .. n - 1, of
-        # n = int(len / (scale / 4)) + 1 steps, each t = k * (1.0 / n) as
-        # np.linspace(0, 1, n, endpoint=False) computes it
-        long = np.nonzero(seglen > scale / 4)[0]
-        n = (seglen[long] / (scale / 4)).astype(np.intp) + 1
-        counts = n - 1
-        i = np.repeat(long, counts)
-        k = np.arange(1, len(i) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        t = (k * np.repeat(1.0 / n, counts))[:, None]
-        cloud = np.concatenate([poly, poly[i] + t * seg[i]])
-        tangent = poly[1] - poly[0]
-        start = (poly[0][0], poly[0][1], math.atan2(tangent[1], tangent[0]))
-        path = poly
+        n = np.where(seglen > scale / 4, (seglen / (scale / 4)).astype(np.intp) + 1, 1)
+        i = np.repeat(np.arange(len(path)), n)
+        k = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+        cloud = path[i] + (k * np.repeat(1.0 / n, n))[:, None] * seg[i]
+        pieces = [(_cloud_dist, (s,), s) for s in _stretches(cloud)]
     else:
         raise ConfigError(f"unknown track kind {kind!r}; choose from {TRACK_KINDS}")
 
     if params:
         raise ConfigError(f"unknown track params for {kind}: {sorted(params)}")
     raster = np.full(shape, _band(np.inf, width, scale, path_value, bg_value))
-    if kind == "spline":
-        iy, ix = np.nonzero(_near(cloud, reach, scale, shape))
-        pixels = np.stack([(ix + 0.5) * scale, (iy + 0.5) * scale], axis=1)
-        dist = cKDTree(cloud).query(pixels, distance_upper_bound=reach)[0]
-        raster[iy, ix] = _band(dist, width, scale, path_value, bg_value)
-    else:
-        path = np.concatenate([poly for _, _, poly in pieces])
-        h, w = shape
-        for dist, args, poly in pieces:
-            # the pixels within reach of the polyline's box, and a spare one
-            lo = np.floor((poly.min(axis=0) - reach) / scale).astype(np.intp) - 1
-            hi = np.ceil((poly.max(axis=0) + reach) / scale).astype(np.intp) + 1
-            (i0, j0), (i1, j1) = np.maximum(lo, 0), np.minimum(hi, (w, h))
-            x = ((np.arange(i0, i1) + 0.5) * scale)[None, :]
-            y = ((np.arange(j0, j1) + 0.5) * scale)[:, None]
-            box = raster[j0:j1, i0:i1]
-            band = _band(dist(x, y, *args), width, scale, path_value, bg_value)
-            np.minimum(box, band, out=box)
-    return Canvas(
-        raster=raster,
-        scale=scale,
-        start=start,
-        track_kind=kind,
-        path=path,
-    )
+    h, w = shape
+    for dist, args, poly in pieces:
+        # the pixels within reach of the polyline's box, and a spare one
+        lo = np.floor((poly.min(axis=0) - reach) / scale).astype(np.intp) - 1
+        hi = np.ceil((poly.max(axis=0) + reach) / scale).astype(np.intp) + 1
+        (i0, j0), (i1, j1) = np.maximum(lo, 0), np.minimum(hi, (w, h))
+        x = ((np.arange(i0, i1) + 0.5) * scale)[None, :]
+        y = ((np.arange(j0, j1) + 0.5) * scale)[:, None]
+        box = raster[j0:j1, i0:i1]
+        band = _band(dist(x, y, *args), width, scale, path_value, bg_value)
+        np.minimum(box, band, out=box)
+    return Canvas(raster=raster, scale=scale, start=start, track_kind=kind, path=path)

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,53 @@ def test_cli_track_preview(tmp_path):
     code = cli.main(["track-preview", "--file", str(target)])
     assert code == 0
     assert target.read_bytes().startswith(b"P5")
+
+
+SQUARE = [[0, 0], [60, 0], [60, 60], [0, 60]]
+
+
+@pytest.mark.parametrize("track, name", [
+    ({"kind": "spline", "params": {"points": SQUARE, "samples_per_segment": 0}},
+     "samples_per_segment"),
+    ({"kind": "spline", "params": {"points": SQUARE, "samples_per_segment": -3}},
+     "samples_per_segment"),
+    ({"kind": "spline", "params": {"points": SQUARE, "samples_per_segment": "x"}},
+     "samples_per_segment"),
+    ({"kind": "spline", "params": {"points": [[0, 0], [60, 0], [60], [0, 60]]}}, "points"),
+    ({"kind": "spline", "params": {"points": [[0, 0], [60, math.nan], [60, 60], [0, 60]]}},
+     "points"),
+    ({"kind": "spline", "params": {"points": "abcd"}}, "points"),
+    ({"kind": "spline", "params": {"points": [p + [0] for p in SQUARE]}}, "points"),
+    ({"kind": "circle", "params": {"radius": "big"}}, "radius"),
+    ({"kind": "circle", "params": {"radius": math.inf}}, "radius"),
+    ({"kind": "circle", "params": {"radius": math.nan}}, "radius"),
+    ({"kind": "straight", "params": {"length": -100}}, "length"),
+    ({"kind": "rounded_rect", "params": {"radii": 5}}, "radii"),
+    ({"width": math.inf}, "track.width"),
+    ({"margin": math.inf}, "track.margin"),
+    ({"scale": math.inf}, "track.scale"),
+], ids=["samples-0", "samples-negative", "samples-string", "points-ragged", "points-nan",
+        "points-string", "points-3d", "radius-string", "radius-inf", "radius-nan",
+        "length-negative", "radii-scalar", "width-inf", "margin-inf", "scale-inf"])
+def test_cli_malformed_track_is_a_config_error(tmp_path, capsys, track, name):
+    # exit 4 with a message naming the bad value, not a traceback and exit 1
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({"track": track}))
+    target = tmp_path / "preview.pgm"
+    argv = ["track-preview", "--config", str(p), "--file", str(target)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert not target.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(cli.__file__).parents[1]
+    code = ("import sys, sarbot.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_out_root_env_override(tmp_path, monkeypatch):

@@ -278,10 +278,10 @@ def _assert_raster_equals_the_full_grid(track):
 
 
 # the explicit examples of each kind: a margin below the reach of
-# width / 2 + scale, so that the canvas edge clips the box of a piece (and
-# the spline's near band); circles of scale 1.0 with a radius just above the
-# width, whose rings are drawn with 4 and 13 polyline points; and a circle
-# whose antialiased edge reaches beyond a box widened by width / 2 alone
+# width / 2 + scale, so that the canvas edge clips the box of a piece;
+# circles of scale 1.0 with a radius just above the width, whose rings are
+# drawn with 4 and 13 polyline points; and a circle whose antialiased edge
+# reaches beyond a box widened by width / 2 alone
 EDGE_TRACKS = {
     "straight": [("straight", {"length": 7.3}, 2.6, 0.35, 1.2, 23.0, 229.0)],
     "circle": [("circle", {"radius": 9.5}, 3.4, 0.45, 1.5, 9.0, 250.0),
@@ -307,18 +307,33 @@ def test_band_limited_raster_equals_the_full_grid(kind, data):
         event(f"margin {'below' if margin < width / 2 + scale else 'at or above'} the reach")
 
 
+# the closed 8-point loop of the benchmark's reflex-spline workload, in cm
+BENCH_SPLINE = {"points": [[0, 0], [45, -12], [95, -4], [140, 18], [150, 62], [110, 90],
+                           [50, 84], [-10, 48]], "samples_per_segment": 64}
+
+
 def test_each_piece_measures_only_the_pixels_near_its_box(monkeypatch):
-    # the default rounded rectangle's eight boxes, each widened by the reach
-    # and a spare pixel, hold 36,088 of the canvas's 332,800 pixels (10.8 %)
     measured = []
-    for name in ("_seg_dist", "_arc_dist", "_ring_dist"):
+    for name in ("_seg_dist", "_arc_dist", "_ring_dist", "_cloud_dist"):
         def counting(px, py, *args, dist=getattr(simenv, name)):
             measured.append(np.broadcast(px, py).size)
             return dist(px, py, *args)
         monkeypatch.setattr(simenv, name, counting)
-    canvas = make_track("rounded_rect")
-    assert len(measured) == 8
-    assert sum(measured) < canvas.raster.size / 9
+    for kind, params, pieces, part in [
+        # eight boxes, each widened by the reach and a spare pixel, hold
+        # 36,088 of the canvas's 332,800 pixels (10.8 %)
+        ("rounded_rect", None, 8, 9),
+        # the ring's 1,006 polyline points in 16 stretches: 38,830 of 270,400
+        # pixels (14.4 %), where one box around the whole ring held 110,889
+        ("circle", None, 16, 6),
+        # the dense cloud's 7,130 points in 112 stretches: 53,776 of 529,515
+        # pixels (10.2 %)
+        ("spline", BENCH_SPLINE, 112, 9),
+    ]:
+        measured.clear()
+        canvas = make_track(kind, params)
+        assert len(measured) == pieces, kind
+        assert sum(measured) < canvas.raster.size / part, kind
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,19 +342,25 @@ def test_each_piece_measures_only_the_pixels_near_its_box(monkeypatch):
                      "samples_per_segment": 400}, 2.0, 1.0, 5.0, 0.0, 255.0))
 def test_spline_cloud_equals_the_per_segment_linspace_loop(track):
     # the example's segments are all shorter than scale / 4: no interior points
-    clouds = []
+    stretches = []
 
-    def recording_tree(points):
-        clouds.append(points)
-        return cKDTree(points)
+    def recording(px, py, pts):
+        stretches.append(pts)
+        return cloud_dist(px, py, pts)
 
+    cloud_dist = simenv._cloud_dist
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simenv, "cKDTree", recording_tree)
+        mp.setattr(simenv, "_cloud_dist", recording)
         canvas = _assert_raster_equals_the_full_grid(track)
     ref = _ref_dense_cloud(canvas.path, canvas.scale)
     event(f"{len(ref) - len(canvas.path)} interior points")
-    assert len(clouds) == 1
-    assert clouds[0].shape == ref.shape and clouds[0].tobytes() == ref.tobytes()
+    cloud = np.concatenate(stretches)
+    assert cloud.shape == ref.shape
+
+    def rows(a):  # sorted by x, then y
+        return a[np.lexsort((a[:, 1], a[:, 0]))].tobytes()
+
+    assert rows(cloud) == rows(ref)
 
 
 @pytest.mark.parametrize("track", [
@@ -363,22 +384,6 @@ def test_a_side_that_snapping_collapses_rasterizes_as_its_point():
     _assert_raster_equals_the_full_grid(
         ("rounded_rect", {"rect_width": 3.0, "rect_height": 2.5,
                           "radii": [1.0, 1.0, 1.0, 1.0]}, 1.0, 1.0, 2.0, 0.0, 1.0))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.1, 2.0), st.floats(0.0, 5.0))
-def test_near_marks_every_pixel_within_its_dilation_of_a_seed(seed, scale, reach):
-    # brute force: a pixel is near when its row and column are both within
-    # ceil(reach / scale) + 1 of some seed's pixel
-    rng = np.random.default_rng(seed)
-    h, w = rng.integers(1, 40, 2)
-    seeds = rng.uniform(0.0, 1.0, (rng.integers(1, 6), 2)) * (w * scale, h * scale)
-    k = math.ceil(reach / scale) + 1
-    rows, cols = np.mgrid[:h, :w]
-    ref = np.zeros((h, w), dtype=bool)
-    for ix, iy in np.floor(seeds / scale).astype(int):
-        ref |= (abs(rows - iy) <= k) & (abs(cols - ix) <= k)
-    assert (simenv._near(seeds, reach, scale, (h, w)) == ref).all()
 
 
 # Reference: the Catmull-Rom curve computed one sample at a time

@@ -94,8 +94,8 @@ CASES = {
                    "radii": [3.0, 25.0, 7.0, 19.0]},
         "width": 3.0, "scale": 0.3, "path_value": 17, "bg_value": 241,
     }}),
-    # a straight and a circle on margins below the reach of width / 2 +
-    # scale, so that the canvas edge clips the box of their one piece
+    # a straight, a circle and a spline on margins below the reach of
+    # width / 2 + scale, so that the canvas edge clips the box of a piece
     "straight-preview": ("track-preview", {"track": {
         "kind": "straight", "params": {"length": 47.5}, "margin": 1.2,
         "width": 2.6, "scale": 0.35, "path_value": 23, "bg_value": 229,
@@ -103,6 +103,10 @@ CASES = {
     "circle-preview": ("track-preview", {"track": {
         "kind": "circle", "params": {"radius": 9.5}, "margin": 1.5,
         "width": 3.4, "scale": 0.45, "path_value": 9, "bg_value": 250,
+    }}),
+    "spline-preview": ("track-preview", {"track": {
+        **SPLINE, "margin": 1.1, "width": 2.8, "scale": 0.3, "path_value": 31,
+        "bg_value": 236,
     }}),
     "batch": ("batch", {
         "trial": {"max_duration": 60.0},
