@@ -417,7 +417,8 @@ def calibrate(cfg: TrialConfig,
     in one ``simenv.sample_ldr`` gather, and each lane takes its own reflex
     step and sums its own error in tick order, as a run alone would.
 
-    Raises CalibrationError when the probe leaves the canvas or when the
+    Raises CalibrationError when the probe drifts off the canvas, whose
+    margin beside the line is the trial's ``track.margin``, or when the
     response |e_plus - e_minus| falls below ``MIN_PROBE_RESPONSE`` (1 GSV),
     since then not even the sign of dE/dA_P can be trusted.
     """
@@ -437,7 +438,9 @@ def calibrate(cfg: TrialConfig,
                 if i >= first:
                     acc[k] += e
     except OutOfBoundsError as exc:
-        raise CalibrationError(f"probe left the canvas: {exc}") from exc
+        raise CalibrationError(f"probe left the canvas: {exc}; its straight track spans 2 * "
+                               f"track.margin across; got track.margin: {cfg.track.margin!r}"
+                               ) from exc
     e_plus, e_minus = (a / (total - first) for a in acc)
     plant_gain = looplib.estimate_loop_gain(e_plus, e_minus, PROBE_AMPLITUDE)
     response = abs(e_plus - e_minus)

@@ -22,10 +22,10 @@ class LdrReadout:
     """Six ground-sensor values: ``g`` for the left triple, ``g_star`` for
     their mirrored right counterparts, innermost first.
 
-    Not checked here: they are derived from a canvas that ``make_track`` or
-    ``read_pgm`` checked, in the trial loop by ``simenv.sample_camera`` (in
-    the same gather as the camera grid) and in the calibration probe by
-    ``simenv.sample_ldr``."""
+    Not checked here: they are derived from a canvas that ``make_track``
+    checked, in the trial loop by ``simenv.sample_camera`` (in the same
+    gather as the camera grid) and in the calibration probe by
+    ``simenv.sample_ldr``, one readout per probe lane."""
 
     g: np.ndarray
     g_star: np.ndarray

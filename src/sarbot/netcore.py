@@ -356,14 +356,14 @@ class Network:
         return (a - lo) / (hi - lo)
 
 
-def init_weights(specs, seed: int, w0=0.1, output_weighting=None) -> Network:
+def init_weights(specs, seed: int, w0, output_weighting) -> Network:
     """Build a reproducibly initialized network.
 
     ``specs`` lists the layers including the input layer, so the reference
     setup is ``[LayerSpec(240), LayerSpec(13), ..., LayerSpec(4), LayerSpec(3)]``.
     Weights are drawn uniformly from [-w0, +w0]; ``w0`` may be a scalar or a
-    per-weight-layer sequence.  ``output_weighting`` defaults to [1, 3, 5]
-    for a 3-neuron output layer and to all ones otherwise.
+    per-weight-layer sequence. ``output_weighting`` weighs the output
+    neurons into the action. ``exper.NetParams`` holds the defaults of both.
     """
     specs = list(specs)
     if len(specs) < 2:
@@ -382,7 +382,5 @@ def init_weights(specs, seed: int, w0=0.1, output_weighting=None) -> Network:
     weights = [
         rng.uniform(-w0[l], w0[l], size=(sizes[l + 1], sizes[l])) for l in range(n)
     ]
-    if output_weighting is None:
-        output_weighting = [1.0, 3.0, 5.0] if sizes[-1] == 3 else np.ones(sizes[-1])
     activations = [s.activation for s in specs[1:]]
     return Network(weights, activations, output_weighting)

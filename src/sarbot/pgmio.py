@@ -1,4 +1,4 @@
-"""Binary PGM (P5) images and the layered text weight-snapshot format."""
+"""Binary PGM (P5) image writing and the layered text weight-snapshot format."""
 
 from __future__ import annotations
 
@@ -16,39 +16,6 @@ def write_pgm(path, image) -> None:
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (data.shape[1], data.shape[0]))
         fh.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a float array of shape (height, width)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(b"P5"):
-        raise ConfigError(f"{path}: not a binary PGM (P5) file")
-    # Header: magic, width, height, maxval; '#' comments allowed between tokens.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ConfigError(f"{path}: malformed PGM header") from None
-    if width < 1 or height < 1 or len(raw) - pos < width * height:
-        raise ConfigError(f"{path}: {len(raw) - pos} bytes of pixels for {width}x{height}")
-    if maxval != 255:
-        raise ConfigError(f"{path}: unsupported maxval {maxval}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width).astype(float)
 
 
 def write_weight_snapshot(path, matrices) -> None:

@@ -25,8 +25,8 @@ def difference_signals(grid) -> np.ndarray:
     mirror-symmetric image maps to the zero matrix and mirroring the image
     negates the result. The 8x12 grid is not checked here: it has the
     shape of the grid that ``simenv.sample_camera`` returns beside the
-    ground-sensor readout, with values from a canvas that ``make_track`` or
-    ``read_pgm`` checked.
+    ground-sensor readout, with values from a canvas that ``make_track``
+    checked.
     """
     grid = np.asarray(grid, dtype=float)
     return grid[:, :HALF_COLS] - grid[:, : HALF_COLS - 1 : -1]

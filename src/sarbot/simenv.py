@@ -192,31 +192,23 @@ class Canvas:
         pgmio.write_pgm(path, self.raster)
 
 
-def load_canvas(path, scale: float, start=(0.0, 0.0, 0.0)) -> Canvas:
-    """Load a canvas raster from a PGM file."""
-    return Canvas(
-        raster=pgmio.read_pgm(path),
-        scale=scale,
-        start=tuple(start),
-        track_kind="file",
-    )
-
-
 class _Gather:
     """Buffers for one bilinear gather of ``n`` points, and the views of
     them that it reads and writes, each made once.
 
     ``p`` holds the pixel coordinates and ``lo`` and ``i`` their floors,
-    float and integer, all (2, n), x then y. ``wts`` (2, 2, n) holds the
-    weights [1 - f, f] of the fraction f of each coordinate, and ``v``
-    (2, 2, n) the corner values v[b, a] = r[y + a, x + b].
+    float and integer, all (2, n), x then y; ``lane`` holds ``p`` and ``lo``
+    as (2, 1, n), the shape of one lane of :func:`_to_world`. ``wts``
+    (2, 2, n) holds the weights [1 - f, f] of the fraction f of each
+    coordinate, and ``v`` (2, 2, n) the corner values v[b, a] = r[y + a, x + b].
     """
 
-    __slots__ = ("p", "lo", "i", "ix", "iy", "wts", "f", "g", "wx", "wy", "v",
+    __slots__ = ("p", "lo", "lane", "i", "ix", "iy", "wts", "f", "g", "wx", "wy", "v",
                  "corners", "columns")
 
     def __init__(self, n: int):
         self.p, self.lo = np.empty((2, n)), np.empty((2, n))
+        self.lane = self.p[:, None], self.lo[:, None]
         self.i = np.empty((2, n), dtype=np.intp)
         self.ix, self.iy = self.i
         self.wts = np.empty((2, 2, n))
@@ -286,8 +278,7 @@ def sample_points(canvas: Canvas, pts: np.ndarray, ws: _Gather | None = None) ->
     One gather serves all N points, in the buffers ``ws`` (fresh ones if
     None), which ``pts`` may be the ``p`` of. :func:`sample_camera` calls it
     for a pose near an edge of the canvas, with the layout's workspace, and
-    :func:`sample_ldr` for the ground sensors of one pose or of every lane
-    at once.
+    :func:`sample_ldr` for the ground sensors of every lane at once.
 
     One per-axis ``min`` and ``max`` pair tests the bounds, written so that
     a NaN is off-canvas. While no point lies on the last pixel row or
@@ -319,22 +310,17 @@ def _terms(pose: RobotPose) -> tuple:
     return (pose.x, pose.y, c, s, s, -c)
 
 
-def _to_world(pose, pts: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _to_world(poses, pts: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """Robot-frame (forward, lateral) coordinate rows (2, N) to world x, y
     rows: x = (pose.x + f*c) - l*s, y = (pose.y + f*s) + l*c.
 
-    ``pose`` is one :class:`RobotPose`, giving rows (2, N), or a sequence of
-    B poses (lanes), giving (2, B, N) in one broadcast, each lane's values
-    those its pose alone gives. One pose may write its rows into ``out``,
-    with ``tmp`` for the lateral term, both (2, N). A pose with a NaN or
-    infinite heading raises ``OutOfBoundsError``, as a non-finite
-    coordinate does at the bounds test.
+    ``poses`` is a sequence of B poses (lanes), placed in one broadcast as
+    (2, B, N), each lane's values those its pose alone gives. The rows may
+    be written into ``out``, with ``tmp`` for the lateral term, both
+    (2, B, N). A pose with a NaN or infinite heading raises
+    ``OutOfBoundsError``, as a non-finite coordinate does at the bounds test.
     """
-    if isinstance(pose, RobotPose):
-        # one flat tuple builds the array faster than nested lists
-        m = np.array(_terms(pose)).reshape(3, 2, 1)
-    else:
-        m = np.array([_terms(p) for p in pose]).T.reshape(3, 2, -1, 1)
+    m = np.array([_terms(p) for p in poses]).T.reshape(3, 2, -1, 1)
     out = np.multiply(m[1], pts[0], out=out)
     np.add(m[0], out, out=out)
     return np.subtract(out, np.multiply(m[2], pts[1], out=tmp), out=out)
@@ -347,9 +333,9 @@ def _ldr_g(cells: np.ndarray) -> np.ndarray:
     return 255.0 - np.add.reduce(cells, axis=-1) / cells.shape[-1]
 
 
-def sample_ldr(canvas: Canvas, pose, layout: SensorLayout) -> LdrReadout | list[LdrReadout]:
+def sample_ldr(canvas: Canvas, poses, layout: SensorLayout) -> list[LdrReadout]:
     """Read the six ground sensors alone, from the layout's ground-sensor
-    columns.
+    columns, at each of a sequence of poses (lanes).
 
     Each G value is 255 minus the mean GSV over the sensor's field-of-view
     disk, so a sensor over the dark path reads high and one over the white
@@ -357,22 +343,19 @@ def sample_ldr(canvas: Canvas, pose, layout: SensorLayout) -> LdrReadout | list[
     by the ground sensors and has no camera, calls this; a trial's ticks
     read both sensors through :func:`sample_camera`.
 
-    ``pose`` is one :class:`RobotPose`, read into one ``LdrReadout``, or a
-    sequence of poses (lanes), read into a list of readouts. One broadcast
-    transform places every lane's points, one :func:`sample_points` gather
-    reads them and one reduction over (lanes, 6, 13) takes the means. Every
-    operation is elementwise, or a sum over one disk's 13 points, so each
-    lane's readout has the bits its pose read alone gives; a point of any
-    lane off the canvas raises ``OutOfBoundsError``. The gather, in fresh
-    buffers, always goes through :func:`sample_points`' bounds test: the
-    probe runs at a trial's set-up, not on its ticks.
+    One broadcast transform places every lane's points, one
+    :func:`sample_points` gather reads them and one reduction over
+    (lanes, 6, 13) takes the means, giving one ``LdrReadout`` per lane.
+    Every operation is elementwise, or a sum over one disk's 13 points, so
+    each lane's readout has the bits of a call with its pose alone; a point
+    of any lane off the canvas raises ``OutOfBoundsError``. The gather, in
+    fresh buffers, always goes through :func:`sample_points`' bounds test:
+    the probe runs at a trial's set-up, not on its ticks.
     """
-    lanes = [pose] if isinstance(pose, RobotPose) else pose
     pts = layout._pts[:, layout._n_cam :]
-    vals = sample_points(canvas, _to_world(lanes, pts).reshape(2, -1))
-    g = _ldr_g(vals.reshape(len(lanes), 6, -1))
-    readouts = [LdrReadout(g=gk[:3], g_star=gk[3:]) for gk in g]
-    return readouts[0] if isinstance(pose, RobotPose) else readouts
+    vals = sample_points(canvas, _to_world(poses, pts).reshape(2, -1))
+    g = _ldr_g(vals.reshape(len(poses), 6, -1))
+    return [LdrReadout(g=gk[:3], g_star=gk[3:]) for gk in g]
 
 
 def sample_camera(
@@ -386,11 +369,12 @@ def sample_camera(
     nothing else does; an off-canvas point of either sensor raises
     ``OutOfBoundsError``.
 
-    One world transform writes every point into the layout's workspace.
-    A pose whose pixel coordinates lie at least ``layout._reach / scale + 1``
-    pixels inside every edge of the canvas then takes the in-place path:
-    the pixel mapping writes over the points, and :func:`_bilinear` reads
-    the corners unclamped, with no per-point bounds test. Every point lies
+    One world transform, of the pose as one lane, writes every point into
+    the layout's workspace. A pose whose pixel coordinates lie at least
+    ``layout._reach / scale + 1`` pixels inside every edge of the canvas
+    then takes the in-place path: the pixel mapping writes over the points,
+    and :func:`_bilinear` reads the corners unclamped, with no per-point
+    bounds test. Every point lies
     within the reach of the pose, and the rounding of the transform moves
     it by far less than the spare pixel, so every point lies on the canvas
     and below its last pixel row and column, where :func:`sample_points`
@@ -414,7 +398,8 @@ def sample_camera(
     ws = layout._ws
     if ws is None:
         ws = layout._ws = _Gather(layout._pts.shape[1])
-    p = _to_world(pose, layout._pts, out=ws.p, tmp=ws.lo)
+    _to_world((pose,), layout._pts, *ws.lane)
+    p = ws.p
     if inside:
         np.divide(p, scale, out=p)
         p -= 0.5
@@ -493,9 +478,29 @@ def _param(params, name, need, ok=lambda a: a.ndim == 0 and a > 0):
     return a
 
 
-def _canvas_shape(width_cm, height_cm, scale):
-    """Shape (h, w) of a canvas covering the given extent."""
-    return int(math.ceil(height_cm / scale)), int(math.ceil(width_cm / scale))
+# The most pixels or points that one array of a track may hold: the
+# canvas, the spline's Catmull-Rom samples or its dense cloud. A float64
+# raster of this many pixels takes 128 MiB, and the piece loop's temporaries
+# a few times its largest box. The benchmark's spline, the largest committed
+# track, has 529,515 pixels, 3.2 % of it. Each size is computed from the
+# params, and compared, before its array is made.
+_BUDGET = 2**24
+
+
+def _fits(count, what, got):
+    """Raise a ConfigError naming the params in ``got`` unless ``count``
+    ``what`` fit the budget; written so that inf or NaN fails."""
+    if not count <= _BUDGET:
+        raise ConfigError(f"track too large: {count:.3g} {what}, over the budget of "
+                          f"{_BUDGET}; got {got}")
+
+
+def _canvas_shape(width_cm, height_cm, scale, margin, got):
+    """Shape (h, w) of a canvas covering the given extent, whose pixels,
+    bounded above by (h + 1) * (w + 1), fit the budget."""
+    h, w = height_cm / scale, width_cm / scale
+    _fits((h + 1) * (w + 1), "canvas pixels", f"{got}, margin: {margin!r}, scale: {scale!r}")
+    return int(math.ceil(h)), int(math.ceil(w))
 
 
 def _band(dist, width, scale, path_value, bg_value):
@@ -660,7 +665,8 @@ def make_track(
         length = float(_param(params, "length", "straight track length must be positive"))
         y0 = _snap(margin, scale)
         x0, x1 = margin, margin + length
-        shape = _canvas_shape(length + 2 * margin, 2 * margin, scale)
+        shape = _canvas_shape(length + 2 * margin, 2 * margin, scale, margin,
+                              f"length: {length!r}")
         start = (x0 + 5.0, y0, 0.0)
         path = _seg_points(x0, y0, x1, y0, scale)
         pieces = [(_seg_dist, (x0, y0, x1, y0), path)]
@@ -669,7 +675,7 @@ def make_track(
                          lambda a: a.ndim == 0 and a > width))
         cx = cy = _snap(margin + r, scale)
         side = 2 * (r + margin)
-        shape = _canvas_shape(side, side, scale)
+        shape = _canvas_shape(side, side, scale, margin, f"radius: {r!r}")
         start = (cx, cy - r, 0.0)
         path = _arc_points(cx, cy, r, -math.pi / 2, 1.5 * math.pi, scale)
         pieces = [(_ring_dist, (cx, cy, r), ring) for ring in _stretches(path)]
@@ -683,7 +689,8 @@ def make_track(
         xl, xr = _snap(margin, scale), _snap(margin + rw, scale)
         yb, yt = _snap(margin, scale), _snap(margin + rh, scale)
         rbr, rtr, rtl, rbl = radii
-        shape = _canvas_shape(rw + 2 * margin, rh + 2 * margin, scale)
+        shape = _canvas_shape(rw + 2 * margin, rh + 2 * margin, scale, margin,
+                              f"rect_width: {rw!r}, rect_height: {rh!r}")
         pi = math.pi
         # the bottom side, the bottom-right arc, the right side and so on
         sides = [(xl + rbl, yb, xr - rbr, yb), (xr, yb + rbr, xr, yt - rtr),
@@ -704,12 +711,15 @@ def make_track(
         samples = int(_param(
             params, "samples_per_segment", "spline samples_per_segment must be a positive "
             "integer", lambda a: a.ndim == 0 and a % 1 == 0 and a >= 1))
+        _fits(len(points) * samples, "spline samples",
+              f"samples_per_segment: {samples!r} for {len(points)} points")
         path = _catmull_rom(points, samples)
         if _self_intersects(path):
             raise ConfigError("spline track self-intersects")
         path = path - path.min(axis=0) + margin
         bbox = path.max(axis=0) + margin
-        shape = _canvas_shape(bbox[0], bbox[1], scale)
+        shape = _canvas_shape(bbox[0], bbox[1], scale, margin,
+                              f"points: a canvas of {bbox[0]:.6g} x {bbox[1]:.6g} cm")
         tangent = path[1] - path[0]
         start = (path[0][0], path[0][1], math.atan2(tangent[1], tangent[0]))
         # the dense cloud in path order: segment i gives path[i] + t * seg[i]
@@ -718,6 +728,8 @@ def make_track(
         seg = np.diff(path, axis=0, append=path[:1])
         seglen = np.hypot(seg[:, 0], seg[:, 1])
         n = np.where(seglen > scale / 4, (seglen / (scale / 4)).astype(np.intp) + 1, 1)
+        _fits(n.sum(), "points of the dense cloud",
+              f"points: a loop of {seglen.sum():.6g} cm, scale: {scale!r}")
         i = np.repeat(np.arange(len(path)), n)
         k = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
         cloud = path[i] + (k * np.repeat(1.0 / n, n))[:, None] * seg[i]

@@ -21,7 +21,7 @@ from sarbot import cli
 from sarbot import config as configlib
 from sarbot import exper, loop, signals, simenv
 from sarbot.netcore import GDM, LOCALPROP, SAR, LayerSpec, UpdateRule, init_weights
-from sarbot.pgmio import read_pgm, write_pgm
+from sarbot.pgmio import write_pgm
 
 SEEDS = list(range(1, 11))
 
@@ -426,7 +426,7 @@ def test_the_pipeline_is_antisymmetric_on_random_mirrored_tracks(track, seed, ti
 # ----------------------------------------------------------------------
 
 
-def test_criterion_09_signal_plumbing(tmp_path):
+def test_criterion_09_signal_plumbing(tmp_path, pgm_pixels):
     rng = np.random.default_rng(9)
     fa = signals.FilterArray()
     lengths = {
@@ -445,7 +445,7 @@ def test_criterion_09_signal_plumbing(tmp_path):
         net.weights[0][:, r * 30 : (r + 1) * 30] = float(r + 1)
     img = exper.first_layer_heatmap_image(net)
     write_pgm(tmp_path / "hm.pgm", img)
-    loaded = read_pgm(tmp_path / "hm.pgm")
+    loaded = pgm_pixels(tmp_path / "hm.pgm")
     blocks = [loaded[:, b * 30 : (b + 1) * 30].mean() for b in range(8)]
     heatmap_ok = loaded.shape == (13, 240) and blocks == sorted(blocks)
 

@@ -296,6 +296,16 @@ def test_cli_track_preview(tmp_path):
 SQUARE = [[0, 0], [60, 0], [60, 60], [0, 60]]
 
 
+def _serpentine(rows=398, length=12000.0, gap=0.01):
+    """A closed loop of ``rows`` rows ``length`` cm long and ``gap`` cm
+    apart, run left to right and back, that returns along x = -1."""
+    pts = []
+    for j in range(rows):
+        row = [[-1.0 if j in (0, rows - 1) else 0.0, j * gap], [length, j * gap]]
+        pts += row if j % 2 == 0 else row[::-1]
+    return pts
+
+
 @pytest.mark.parametrize("track, name", [
     ({"kind": "spline", "params": {"points": SQUARE, "samples_per_segment": 0}},
      "samples_per_segment"),
@@ -316,9 +326,24 @@ SQUARE = [[0, 0], [60, 0], [60, 60], [0, 60]]
     ({"width": math.inf}, "track.width"),
     ({"margin": math.inf}, "track.margin"),
     ({"scale": math.inf}, "track.scale"),
+    # too large to build: checked before any array is made
+    ({"kind": "circle", "params": {"radius": 1.0e18}}, "radius"),
+    ({"kind": "straight", "params": {"length": 1.0e12}}, "length"),
+    ({"kind": "rounded_rect", "params": {"rect_width": 1.0e9}}, "rect_width"),
+    ({"scale": 1.0e-6}, "scale"),
+    ({"kind": "spline", "params": {"points": SQUARE, "samples_per_segment": 10**18}},
+     "samples_per_segment"),
+    ({"kind": "spline", "params": {"points": [[x * 1.0e18, y * 1.0e18] for x, y in SQUARE]}},
+     "points"),
+    # a 12,003 x 6 px canvas at 1 cm a pixel, but 19.1 million points of
+    # dense cloud at scale / 4 along its 48 km
+    ({"kind": "spline", "params": {"points": _serpentine(), "samples_per_segment": 1},
+      "scale": 1.0, "margin": 1.0}, "points"),
 ], ids=["samples-0", "samples-negative", "samples-string", "points-ragged", "points-nan",
         "points-string", "points-3d", "radius-string", "radius-inf", "radius-nan",
-        "length-negative", "radii-scalar", "width-inf", "margin-inf", "scale-inf"])
+        "length-negative", "radii-scalar", "width-inf", "margin-inf", "scale-inf",
+        "radius-huge", "length-huge", "rect-width-huge", "scale-tiny", "samples-huge",
+        "points-huge", "cloud-huge"])
 def test_cli_malformed_track_is_a_config_error(tmp_path, capsys, track, name):
     # exit 4 with a message naming the bad value, not a traceback and exit 1
     p = tmp_path / "c.yaml"

@@ -24,6 +24,7 @@ from sarbot.netcore import (
 
 def make_net(sizes, seed=0, w0=0.5, m=None, activation="tanh"):
     specs = [LayerSpec(s, activation) for s in sizes]
+    m = np.ones(sizes[-1]) if m is None else m
     return init_weights(specs, seed=seed, w0=w0, output_weighting=m)
 
 
@@ -43,7 +44,7 @@ def forward_from_v(net, layer, v_vec):
 
 
 def test_forward_zero_input_gives_zero_action():
-    net = make_net([4, 3, 2, 3])
+    net = make_net([4, 3, 2, 3], m=[1.0, 3.0, 5.0])
     assert net.forward(np.zeros(4)) == 0.0
 
 
@@ -58,7 +59,7 @@ def test_forward_single_path_matches_hand_composition():
 
 def test_forward_reference_architecture_shapes_and_output():
     sizes = [240, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3]
-    net = make_net(sizes, w0=0.1)
+    net = make_net(sizes, w0=0.1, m=[1.0, 3.0, 5.0])
     assert net.weights[0].shape == (13, 240)
     assert [w.shape[0] for w in net.weights] == sizes[1:]
     npt.assert_array_equal(net.m, [1.0, 3.0, 5.0])
@@ -387,7 +388,7 @@ def test_sign_prop_positive_chain_is_all_plus_one():
 
 
 def test_sign_prop_invariant_under_positive_rescaling():
-    net = make_net([4, 5, 4, 3])
+    net = make_net([4, 5, 4, 3], m=[1.0, 3.0, 5.0])
     net.forward(np.array([0.4, -0.3, 0.2, 0.6]))
     before = [s.copy() for s in net.sign_prop(-1.7)]
     scaled = copy.deepcopy(net)
@@ -645,20 +646,21 @@ def test_weight_heatmap_minmax_and_degenerate():
 
 def test_init_weights_determinism_and_spread():
     specs = [LayerSpec(5), LayerSpec(3), LayerSpec(2)]
-    a = init_weights(specs, seed=123)
-    b = init_weights(specs, seed=123)
+    a = init_weights(specs, seed=123, w0=0.1, output_weighting=[1.0, 1.0])
+    b = init_weights(specs, seed=123, w0=0.1, output_weighting=[1.0, 1.0])
     for wa, wb in zip(a.weights, b.weights):
         npt.assert_array_equal(wa, wb)
-    c = init_weights(specs, seed=124)
+    c = init_weights(specs, seed=124, w0=0.1, output_weighting=[1.0, 1.0])
     assert any(np.abs(wa - wc).sum() > 0 for wa, wc in zip(a.weights, c.weights))
     assert all(np.abs(w).max() <= 0.1 for w in a.weights)
 
 
 def test_init_weights_validation():
     with pytest.raises(ConfigError):
-        init_weights([LayerSpec(3)], seed=0)
+        init_weights([LayerSpec(3)], seed=0, w0=0.1, output_weighting=[1.0])
     with pytest.raises(ConfigError):
-        init_weights([LayerSpec(3), LayerSpec(2)], seed=0, w0=[0.1, 0.2])
+        init_weights([LayerSpec(3), LayerSpec(2)], seed=0, w0=[0.1, 0.2],
+                     output_weighting=[1.0, 1.0])
     with pytest.raises(ConfigError):
         LayerSpec(0)
     with pytest.raises(ConfigError):

@@ -21,7 +21,6 @@ from sarbot.loop import (
     reflex_action,
     saturate,
 )
-from sarbot.pgmio import read_pgm
 from sarbot import simenv
 from sarbot.signals import difference_signals
 from sarbot.simenv import (
@@ -36,7 +35,6 @@ from sarbot.simenv import (
     _self_intersects,
     _snap,
     _symmetric_disk,
-    load_canvas,
     make_track,
     sample_camera,
     sample_ldr,
@@ -164,13 +162,17 @@ def test_track_param_validation():
         make_track("rounded_rect", {"radii": [50.0, 50.0, 50.0, 50.0]})
 
 
-def test_canvas_pgm_round_trip(tmp_path):
-    canvas = make_track("circle", {"radius": 20.0}, margin=10.0)
+def test_canvas_pgm_round_trip(tmp_path, pgm_pixels):
+    # the fixed header, then clip(rint(raster), 0, 255) as uint8 rows: -3
+    # clips to 0, 300 to 255, and a half rounds to the even level
+    raster = [[-3.0, 127.5, 300.0], [0.4, 254.6, 126.5]]
     path = tmp_path / "track.pgm"
+    Canvas(raster=raster, scale=0.25, start=(0.0, 0.0, 0.0), track_kind="ramp").save_pgm(path)
+    assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 0, 255, 126])
+    canvas = make_track("circle", {"radius": 20.0}, margin=10.0)
     canvas.save_pgm(path)
-    loaded = load_canvas(path, canvas.scale, canvas.start)
-    assert loaded.raster.shape == canvas.raster.shape
-    assert np.abs(loaded.raster - canvas.raster).max() <= 0.5
+    levels = np.clip(np.rint(canvas.raster), 0, 255).astype(np.uint8)
+    assert pgm_pixels(path).tobytes() == levels.tobytes()
 
 
 # Reference: the full-grid rasteriser, which evaluates each kind's distance
@@ -552,7 +554,7 @@ def test_uniform_canvas_reads_flat():
     canvas = blank_canvas()
     pose = RobotPose(*canvas.start)
     layout = SensorLayout()
-    r = sample_ldr(canvas, pose, layout)
+    r = sample_ldr(canvas, [pose], layout)[0]
     npt.assert_allclose(np.concatenate([r.g, r.g_star]), np.zeros(6), atol=1e-12)
     grid, _ = sample_camera(canvas, pose, layout)
     npt.assert_allclose(grid, np.full((8, 12), 255.0), atol=1e-12)
@@ -563,7 +565,7 @@ def test_centered_robot_sees_symmetric_world():
     canvas = make_track("straight", {"length": 100.0})
     pose = RobotPose(canvas.start[0] + 10.0, canvas.start[1], 0.0)
     layout = SensorLayout()
-    r = sample_ldr(canvas, pose, layout)
+    r = sample_ldr(canvas, [pose], layout)[0]
     assert control_error(r, ReflexConfig()) == 0.0
     grid, _ = sample_camera(canvas, pose, layout)
     npt.assert_allclose(difference_signals(grid), np.zeros((8, 6)), atol=1e-9)
@@ -576,7 +578,7 @@ def test_offset_robot_error_sign_and_reflex_direction():
     y0 = canvas.start[1]
     # robot shifted left of the line: right sensors see the line, E < 0
     pose = RobotPose(canvas.start[0] + 10.0, y0 + layout.ldr_lateral[0], 0.0)
-    e = control_error(sample_ldr(canvas, pose, layout), cfg)
+    e = control_error(sample_ldr(canvas, [pose], layout)[0], cfg)
     assert e < 0
     # closed loop: reflex must steer toward the line and shrink the offset.
     # Inside the sensors' dead band (about +/-2.5 cm) E = 0 and the robot
@@ -586,7 +588,7 @@ def test_offset_robot_error_sign_and_reflex_direction():
     dt = 0.05
     commands, offsets = [], []
     for _ in range(100):
-        e = control_error(sample_ldr(canvas, pose, layout), cfg)
+        e = control_error(sample_ldr(canvas, [pose], layout)[0], cfg)
         mc, _ = saturate(motor_command(reflex_action(e, cfg), 0.0), cfg.mc_limit)
         commands.append(mc)
         pose = step(pose, mc, dt)
@@ -616,7 +618,7 @@ def test_out_of_bounds_sampling_raises():
     with pytest.raises(OutOfBoundsError):
         sample_camera(canvas, RobotPose(19.0, 10.0, 0.0), layout)
     with pytest.raises(OutOfBoundsError):
-        sample_ldr(canvas, RobotPose(10.0, 0.5, -math.pi / 2), layout)
+        sample_ldr(canvas, [RobotPose(10.0, 0.5, -math.pi / 2)], layout)
 
 
 def test_a_nan_point_or_pose_is_off_the_canvas():
@@ -632,7 +634,7 @@ def test_a_nan_point_or_pose_is_off_the_canvas():
         for pose in (RobotPose(nan, 10.0, 0.0), RobotPose(10.0, 10.0, nan),
                      RobotPose(10.0, 10.0, math.inf), RobotPose(10.0, 10.0, -math.inf)):
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
-                sample_ldr(canvas, pose, SensorLayout())
+                sample_ldr(canvas, [pose], SensorLayout())
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
                 sample_ldr(canvas, [RobotPose(10.0, 10.0, 0.0), pose], SensorLayout())
         # a heading that is not finite, on a canvas whose every edge lies
@@ -643,7 +645,7 @@ def test_a_nan_point_or_pose_is_off_the_canvas():
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
                 sample_camera(wide, pose, SensorLayout())
             with pytest.raises(OutOfBoundsError, match="sample point outside the canvas"):
-                simenv._to_world(pose, SensorLayout()._pts)
+                simenv._to_world([pose], SensorLayout()._pts)
 
 
 # Reference: the per-axis lookup over (..., 2) points, with each sensor
@@ -742,9 +744,9 @@ def test_one_gather_equals_the_per_axis_lookup(case, supersample):
         assert np.concatenate([readout.g, readout.g_star]).tobytes() == ref_g.tobytes()
     if ref_g is None:
         with pytest.raises(OutOfBoundsError):
-            sample_ldr(canvas, pose, layout)
+            sample_ldr(canvas, [pose], layout)
     else:
-        readout = sample_ldr(canvas, pose, layout)
+        readout = sample_ldr(canvas, [pose], layout)[0]
         assert np.concatenate([readout.g, readout.g_star]).tobytes() == ref_g.tobytes()
 
 
@@ -778,7 +780,7 @@ def test_a_lane_gather_equals_the_per_pose_calls(lanes, seed, touch, off):
         poses[k] = RobotPose(w * scale / 2, (h - 0.5) * scale - reach[1], 0.0)
     if touch != "none":
         axis, last = (0, w - 1.0) if touch == "column" else (1, h - 1.0)
-        p = simenv._to_world(poses[k], layout._pts[:, layout._n_cam:]) / scale - 0.5
+        p = simenv._to_world([poses[k]], layout._pts[:, layout._n_cam:])[:, 0] / scale - 0.5
         assert p[axis].max() == last
     if off:
         poses[int(rng.integers(lanes))] = RobotPose(w * scale + 3.0, h * scale / 2, 0.0)
@@ -788,7 +790,7 @@ def test_a_lane_gather_equals_the_per_pose_calls(lanes, seed, touch, off):
     readouts = sample_ldr(canvas, poses, layout)
     assert len(readouts) == lanes
     for readout, pose in zip(readouts, poses):
-        assert _ldr_bytes(readout) == _ldr_bytes(sample_ldr(canvas, pose, layout))
+        assert _ldr_bytes(readout) == _ldr_bytes(sample_ldr(canvas, [pose], layout)[0])
 
 
 def test_points_on_the_first_and_last_pixel():
@@ -942,7 +944,7 @@ def _camera_reference(canvas, pose, layout):
     """The same from sample_points over every world point, with
     ndarray.mean for the means."""
     try:
-        vals = sample_points(canvas, simenv._to_world(pose, layout._pts))
+        vals = sample_points(canvas, simenv._to_world([pose], layout._pts)[:, 0])
     except OutOfBoundsError as exc:
         return type(exc)
     n = layout._n_cam
@@ -1024,26 +1026,6 @@ def test_the_in_place_path_keeps_every_bit_of_sample_points(data):
     # no later call wrote into an array an earlier one returned
     for got, snapshot in returned:
         assert [a.tobytes() for a in got] == snapshot
-
-
-def test_read_pgm_rejects_non_pgm(tmp_path):
-    p = tmp_path / "x.pgm"
-    p.write_bytes(b"P6\n1 1\n255\n\x00")
-    with pytest.raises(ConfigError):
-        read_pgm(p)
-
-
-@pytest.mark.parametrize("raw", [
-    b"P5\n3",  # header cut short
-    b"P5\n3 two\n255\n" + bytes(6),  # a size that is not a number
-    b"P5\n3 2\n255\n" + bytes(5),  # one pixel short
-    b"P5\n-3 2\n255\n" + bytes(6),  # negative width
-], ids=["truncated-header", "bad-height", "short-pixels", "negative-width"])
-def test_read_pgm_rejects_malformed_input(tmp_path, raw):
-    p = tmp_path / "x.pgm"
-    p.write_bytes(raw)
-    with pytest.raises(ConfigError, match="x.pgm"):
-        read_pgm(p)
 
 
 def test_sensor_layout_validation():

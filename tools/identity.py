@@ -3,13 +3,15 @@
     python3 tools/identity.py REV
 
 Unpacks REV with ``git archive`` into a temporary directory, runs one fixed
-list of ``sarbot trial``, ``sarbot batch`` and ``sarbot track-preview``
-commands with the ``src/`` of that copy and with the ``src/`` of the
-working tree, and compares every file each command wrote, byte for byte,
-together with its exit code and its printed summary. Prints one line per
-command and exits 0 when every artifact is identical, 1 when any differs,
-and 2 when REV cannot be unpacked. Run it from anywhere inside the
-repository; it writes only to the temporary directory, which it deletes.
+list of ``sarbot trial``, ``sarbot batch``, ``sarbot calibrate`` and
+``sarbot track-preview`` commands with the ``src/`` of that copy and with
+the ``src/`` of the working tree, and compares every file each command
+wrote, byte for byte, together with its exit code and its printed summary.
+A command given ``--write`` writes its config into a run directory of its
+own. Prints one line per command and exits 0 when every artifact is
+identical, 1 when any differs, and 2 when REV cannot be unpacked. Run it
+from anywhere inside the repository; it writes only to the temporary
+directory, which it deletes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ SPLINE = {"kind": "spline",
                                 [150, 62], [110, 90], [50, 84], [-10, 48]],
                      "samples_per_segment": 64}}
 
-# name -> (sarbot command, config overrides)
+# name -> (sarbot command and its flags, config overrides)
 CASES = {
     # the byte-identical rerun config of acceptance criterion 10
     "criterion-10": ("trial", {
@@ -108,6 +110,11 @@ CASES = {
         **SPLINE, "margin": 1.1, "width": 2.8, "scale": 0.3, "path_value": 31,
         "bg_value": 236,
     }}),
+    # every trial above takes the configured loop-gain magnitude, so only
+    # the sign of the probe's plant gain reaches its bytes; these write the
+    # probe's measured loop gain, on the default track and on the spline
+    "calibrate": ("calibrate --use-measured-magnitude --write", {}),
+    "calibrate-spline": ("calibrate --use-measured-magnitude --write", {"track": SPLINE}),
     "batch": ("batch", {
         "trial": {"max_duration": 60.0},
         "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
@@ -130,8 +137,12 @@ def unpack(rev: str, dest: Path) -> str:
 def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, list[str]]:
     """Run one sarbot command with ``tree``'s sources; return its exit code
     and its printed lines, less those naming the output directory."""
+    argv = command.split()
+    if argv[-1] == "--write":
+        (out / "written").mkdir(parents=True)
+        argv.append(str(out / "written" / "config.yaml"))
     proc = subprocess.run(
-        [sys.executable, "-m", "sarbot.cli", command, "--config", str(config),
+        [sys.executable, "-m", "sarbot.cli", *argv, "--config", str(config),
          "--out", str(out)],
         cwd=out.parent, env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True, text=True,
