@@ -7,7 +7,7 @@ from .errors import (
     OutOfBoundsError,
     StateError,
 )
-from .netcore import GDM, LOCALPROP, RULES, SAR, LayerSpec, Network, UpdateRule, init_weights
+from .netcore import ACTIVATIONS, GDM, LOCALPROP, RULES, SAR, Network, UpdateRule, init_weights
 from .signals import (
     FilterArray,
     PREDICTOR_COUNT,

@@ -61,7 +61,7 @@ _LEAVES = {
         lambda v: isinstance(v, list) and v and all(isinstance(x, int) and x >= 1 for x in v),
         "list of positive integers")),
     "network.outputs": _Leaf("net.outputs", POSITIVE_INT),
-    "network.activation": _Leaf("net.activation", _one_of("tanh", "linear")),
+    "network.activation": _Leaf("net.activation", _one_of(*netcore.ACTIVATIONS)),
     "network.w0": _Leaf("net.w0", (
         lambda v: (_num(v) and v > 0) or (_nums(v) and all(x > 0 for x in v)),
         "positive number or list of positive numbers")),

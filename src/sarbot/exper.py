@@ -66,13 +66,14 @@ class NetParams:
     w0: object = (0.004,) + (0.55,) * 9 + (0.05,)
     output_weighting: tuple = (1.0, 3.0, 5.0)
 
-    def layer_specs(self) -> list[netcore.LayerSpec]:
-        sizes = [signals.PREDICTOR_COUNT, *self.hidden, self.outputs]
-        return [netcore.LayerSpec(s, self.activation) for s in sizes]
-
     def build(self, seed: int) -> netcore.Network:
+        sizes = [signals.PREDICTOR_COUNT, *self.hidden, self.outputs]
+        simenv.check_budget(sum(a * b for a, b in zip(sizes, sizes[1:])), "network weights",
+                            f"network.hidden: {list(self.hidden)!r}, "
+                            f"network.outputs: {self.outputs!r}")
         return netcore.init_weights(
-            self.layer_specs(),
+            sizes,
+            [self.activation] * (len(self.hidden) + 1),
             seed=seed,
             w0=self.w0,
             output_weighting=list(self.output_weighting),
@@ -274,6 +275,11 @@ def run_trial(
     """Run one closed-loop trial: sense, predict, err, reflex, learn, act.
     The reflex is the calibration probe's :func:`_reflex_step` under the
     network's A_P; either abort reason ends the trial before its tick is logged."""
+    dt = cfg.sim.dt
+    # the tick log's cells, bounded above, before any array is made
+    n_ticks = cfg.run.max_duration / dt
+    simenv.check_budget((n_ticks + 1) * len(_TICK_COLUMNS), "tick-log cells",
+                        f"trial.max_duration: {cfg.run.max_duration!r}, sim.dt: {dt!r}")
     if canvas is None:
         canvas = cfg.track.build()
     events = []
@@ -287,8 +293,7 @@ def run_trial(
     net = cfg.net.build(cfg.seed)
     fa = signals.FilterArray(cfg.filter_taps)
     pose = cfg.sim.start_pose(canvas)
-    dt = cfg.sim.dt
-    n_max = max(1, int(round(cfg.run.max_duration / dt)))
+    n_max = max(1, int(round(n_ticks)))
     trailing = TrailingMean(max(1, int(round(cfg.run.window / dt))))
     dist_every = max(1, int(round(cfg.run.distance_interval / dt)))
     layers = range(1, net.n_layers + 1)
@@ -420,10 +425,17 @@ def calibrate(cfg: TrialConfig,
     Raises CalibrationError when the probe drifts off the canvas, whose
     margin beside the line is the trial's ``track.margin``, or when the
     response |e_plus - e_minus| falls below ``MIN_PROBE_RESPONSE`` (1 GSV),
-    since then not even the sign of dE/dA_P can be trusted.
+    since then not even the sign of dE/dA_P can be trusted. A probe track
+    that cannot be built raises the track's ConfigError, which then also
+    names ``sim.v0``, the value that sets the track's length.
     """
     length = cfg.sim.v0 * (PROBE_SETTLE + PROBE_MEASURE) * 1.5 + 20.0
-    canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
+    try:
+        canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
+    except ConfigError as exc:
+        raise ConfigError(f"probe track: {exc}; its length is 1.5 * sim.v0 * "
+                          f"{PROBE_SETTLE + PROBE_MEASURE:g} s + 20 cm; got sim.v0: "
+                          f"{cfg.sim.v0!r}") from exc
     first = int(round(PROBE_SETTLE / cfg.sim.dt))
     total = int(round((PROBE_SETTLE + PROBE_MEASURE) / cfg.sim.dt))
     a_p = (+PROBE_AMPLITUDE, -PROBE_AMPLITUDE)

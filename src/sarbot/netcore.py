@@ -1,6 +1,8 @@
 """Fully connected feed-forward core with three interchangeable update rules.
 
-The network is a plain bias-free stack of dense layers. Besides the forward
+The network is a plain bias-free stack of dense layers, described by its
+layer sizes, input first, and one activation name per weight layer, taken
+from ``ACTIVATIONS``; ``init_weights`` draws its weights. Besides the forward
 pass it offers three stateless error passes, each reading the last forward
 state and returning one array per layer:
 
@@ -11,7 +13,7 @@ state and returning one array per layer:
 * ``sign_prop`` -- {-1, 0, +1} matrices produced by cascading only the sign of
   the error through the whole stack; together with ``|gamma|`` as magnitude
   they drive the sign-and-relevance rule (sar).  The cascade assumes a
-  strictly increasing activation (every entry of ``_ACTIVATIONS`` is), so
+  strictly increasing activation (every one of ``ACTIVATIONS`` is), so
   each slope has sign +1 and drops out; a saturated neuron, whose numerical
   slope rounds to 0, therefore still passes its sign on.
 
@@ -51,27 +53,7 @@ _ACTIVATIONS = {
     "tanh": (np.tanh, lambda v, a: 1.0 - a * a),
     "linear": (lambda v, out: v, lambda v, a: np.ones_like(v)),
 }
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Size and activation of one layer.
-
-    The first entry of a network spec describes the input vector; its
-    activation field is ignored.
-    """
-
-    size: int
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ConfigError(f"layer size must be >= 1, got {self.size}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {self.activation!r}; "
-                f"choose from {sorted(_ACTIVATIONS)}"
-            )
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 @dataclass(frozen=True)
@@ -108,6 +90,9 @@ class Network:
             raise ConfigError("a network needs at least one weight matrix")
         if len(activations) != len(weights):
             raise ConfigError("one activation per weight layer required")
+        for name in activations:
+            if name not in _ACTIVATIONS:
+                raise ConfigError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
         # "+ 0.0" turns -0.0 into +0.0 and keeps every other value; from here
         # no update can make a -0.0 (x + y is -0.0 only if both are), so
         # "w + (+-0.0) == w" holds bitwise for every weight
@@ -356,19 +341,21 @@ class Network:
         return (a - lo) / (hi - lo)
 
 
-def init_weights(specs, seed: int, w0, output_weighting) -> Network:
+def init_weights(sizes, activations, seed: int, w0, output_weighting) -> Network:
     """Build a reproducibly initialized network.
 
-    ``specs`` lists the layers including the input layer, so the reference
-    setup is ``[LayerSpec(240), LayerSpec(13), ..., LayerSpec(4), LayerSpec(3)]``.
-    Weights are drawn uniformly from [-w0, +w0]; ``w0`` may be a scalar or a
-    per-weight-layer sequence. ``output_weighting`` weighs the output
-    neurons into the action. ``exper.NetParams`` holds the defaults of both.
+    ``sizes`` lists the layer sizes, input first, so the reference setup is
+    ``[240, 13, ..., 4, 3]``; ``activations`` names one activation per weight
+    layer, as :class:`Network` takes them. Weights are drawn uniformly from
+    [-w0, +w0]; ``w0`` may be a scalar or a per-weight-layer sequence.
+    ``output_weighting`` weighs the output neurons into the action.
+    ``exper.NetParams`` holds the defaults of all but ``seed``.
     """
-    specs = list(specs)
-    if len(specs) < 2:
-        raise ConfigError("a network spec needs at least input and output layers")
-    sizes = [s.size for s in specs]
+    sizes = list(sizes)
+    if len(sizes) < 2:
+        raise ConfigError("a network needs at least input and output sizes")
+    if not all(isinstance(s, (int, np.integer)) and s >= 1 for s in sizes):
+        raise ConfigError(f"layer sizes must be integers >= 1, got {sizes}")
     n = len(sizes) - 1
     if np.isscalar(w0):
         w0 = [float(w0)] * n
@@ -382,5 +369,4 @@ def init_weights(specs, seed: int, w0, output_weighting) -> Network:
     weights = [
         rng.uniform(-w0[l], w0[l], size=(sizes[l + 1], sizes[l])) for l in range(n)
     ]
-    activations = [s.activation for s in specs[1:]]
     return Network(weights, activations, output_weighting)

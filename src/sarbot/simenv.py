@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, OutOfBoundsError
 from .loop import LdrReadout
+from .signals import CAMERA_COLS, CAMERA_ROWS
 from . import pgmio
 
 # each track kind's default params; the spline has no default points
@@ -140,7 +141,7 @@ class SensorLayout:
         )  # order: L1 L2 L3 R1 R2 R3; (forward, lateral)
         ldr = centers[:, None, :] + disk[None, :, :]
 
-        rows, cols, ss = 8, 12, self.cam_supersample
+        rows, cols, ss = CAMERA_ROWS, CAMERA_COLS, self.cam_supersample
         cell_w = self.cam_width / cols
         cell_d = self.cam_depth / rows
         sub = (np.arange(ss) + 0.5) / ss - 0.5
@@ -363,8 +364,8 @@ def sample_camera(
 ) -> tuple[np.ndarray, LdrReadout]:
     """Read both sensors in one gather over all the layout's points.
 
-    Returns the mean GSV of the canvas under each of the 96 camera cells
-    (8x12 grid) and the ground-sensor readout that :func:`sample_ldr`
+    Returns the mean GSV of the canvas under each camera cell (the
+    ``signals.CAMERA_ROWS`` x ``CAMERA_COLS`` grid) and the ground-sensor readout that :func:`sample_ldr`
     would give. ``exper.run_trial`` calls it once per control tick, and
     nothing else does; an off-canvas point of either sensor raises
     ``OutOfBoundsError``.
@@ -407,7 +408,7 @@ def sample_camera(
     else:
         vals = sample_points(canvas, p, ws)
     n = layout._n_cam
-    cells = vals[:n].reshape(8, 12, -1)
+    cells = vals[:n].reshape(CAMERA_ROWS, CAMERA_COLS, -1)
     grid = np.add.reduce(cells, axis=2) / cells.shape[2]
     g = _ldr_g(vals[n:].reshape(6, -1))
     return grid, LdrReadout(g=g[:3], g_star=g[3:])
@@ -478,20 +479,21 @@ def _param(params, name, need, ok=lambda a: a.ndim == 0 and a > 0):
     return a
 
 
-# The most pixels or points that one array of a track may hold: the
-# canvas, the spline's Catmull-Rom samples or its dense cloud. A float64
-# raster of this many pixels takes 128 MiB, and the piece loop's temporaries
-# a few times its largest box. The benchmark's spline, the largest committed
+# The most elements that one array made from config values may hold: the
+# canvas, the spline's Catmull-Rom samples or its dense cloud, the network's
+# weights (all layers together) or a trial's tick log. A float64 raster of
+# this many pixels takes 128 MiB, and the piece loop's temporaries a few
+# times its largest box. The benchmark's spline, the largest committed
 # track, has 529,515 pixels, 3.2 % of it. Each size is computed from the
-# params, and compared, before its array is made.
+# config values, and compared, before its array is made.
 _BUDGET = 2**24
 
 
-def _fits(count, what, got):
-    """Raise a ConfigError naming the params in ``got`` unless ``count``
+def check_budget(count, what, got):
+    """Raise a ConfigError naming the values in ``got`` unless ``count``
     ``what`` fit the budget; written so that inf or NaN fails."""
     if not count <= _BUDGET:
-        raise ConfigError(f"track too large: {count:.3g} {what}, over the budget of "
+        raise ConfigError(f"too large: {count:.3g} {what}, over the budget of "
                           f"{_BUDGET}; got {got}")
 
 
@@ -499,7 +501,7 @@ def _canvas_shape(width_cm, height_cm, scale, margin, got):
     """Shape (h, w) of a canvas covering the given extent, whose pixels,
     bounded above by (h + 1) * (w + 1), fit the budget."""
     h, w = height_cm / scale, width_cm / scale
-    _fits((h + 1) * (w + 1), "canvas pixels", f"{got}, margin: {margin!r}, scale: {scale!r}")
+    check_budget((h + 1) * (w + 1), "canvas pixels", f"{got}, margin: {margin!r}, scale: {scale!r}")
     return int(math.ceil(h)), int(math.ceil(w))
 
 
@@ -711,7 +713,7 @@ def make_track(
         samples = int(_param(
             params, "samples_per_segment", "spline samples_per_segment must be a positive "
             "integer", lambda a: a.ndim == 0 and a % 1 == 0 and a >= 1))
-        _fits(len(points) * samples, "spline samples",
+        check_budget(len(points) * samples, "spline samples",
               f"samples_per_segment: {samples!r} for {len(points)} points")
         path = _catmull_rom(points, samples)
         if _self_intersects(path):
@@ -728,7 +730,7 @@ def make_track(
         seg = np.diff(path, axis=0, append=path[:1])
         seglen = np.hypot(seg[:, 0], seg[:, 1])
         n = np.where(seglen > scale / 4, (seglen / (scale / 4)).astype(np.intp) + 1, 1)
-        _fits(n.sum(), "points of the dense cloud",
+        check_budget(n.sum(), "points of the dense cloud",
               f"points: a loop of {seglen.sum():.6g} cm, scale: {scale!r}")
         i = np.repeat(np.arange(len(path)), n)
         k = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)

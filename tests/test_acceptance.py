@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sarbot import cli
 from sarbot import config as configlib
 from sarbot import exper, loop, signals, simenv
-from sarbot.netcore import GDM, LOCALPROP, SAR, LayerSpec, UpdateRule, init_weights
+from sarbot.netcore import GDM, LOCALPROP, SAR, UpdateRule, init_weights
 from sarbot.pgmio import write_pgm
 
 SEEDS = list(range(1, 11))
@@ -58,7 +58,8 @@ def test_criterion_01_gradient_oracle():
         depth = int(rng.integers(2, 5))
         sizes = [int(rng.integers(1, 9)) for _ in range(depth + 1)]
         net = init_weights(
-            [LayerSpec(s) for s in sizes],
+            sizes,
+            ["tanh"] * (len(sizes) - 1),
             seed=seed,
             w0=0.8,
             output_weighting=rng.uniform(-2, 2, sizes[-1]),
@@ -98,7 +99,8 @@ def test_criterion_02_sign_chain_equivalence():
     for trial in range(200):
         depth = int(rng.integers(2, 7))
         net = init_weights(
-            [LayerSpec(1) for _ in range(depth + 1)],
+            [1] * (depth + 1),
+            ["tanh"] * depth,
             seed=trial,
             w0=1.0,
             output_weighting=[float(rng.choice([-1.5, 1.0, 2.0]))],
@@ -134,7 +136,8 @@ def test_criterion_03_upper_layer_scaling_immunity():
         depth = int(rng.integers(3, 6))  # need at least layers l+2..L to scale
         sizes = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
         net = init_weights(
-            [LayerSpec(s) for s in sizes],
+            sizes,
+            ["tanh"] * (len(sizes) - 1),
             seed=1000 + trial,
             w0=0.9,
             output_weighting=rng.uniform(-1, 1, sizes[-1]),
@@ -179,7 +182,7 @@ def test_criterion_04_zero_error_fixed_point():
         if len(sizes) < 2:
             sizes.append(3)
         net = init_weights(
-            [LayerSpec(s) for s in sizes], seed=trial, w0=1.0,
+            sizes, ["tanh"] * (len(sizes) - 1), seed=trial, w0=1.0,
             output_weighting=rng.uniform(-2, 2, sizes[-1]),
         )
         net.forward(rng.uniform(-1, 1, sizes[0]))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +25,10 @@ def test_defaults_validate_and_build():
     assert trial_cfg.net.outputs == 3
     assert trial_cfg.rule.kind == "sar"
     assert trial_cfg.reflex.loop_gain is None  # "auto"
-    specs = trial_cfg.net.layer_specs()
-    assert [s.size for s in specs] == [240, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3]
+    net = trial_cfg.net.build(trial_cfg.seed)
+    sizes = [net.weights[0].shape[1]] + [w.shape[0] for w in net.weights]
+    assert sizes == [240, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3]
+    assert net.activations == ["tanh"] * 11
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -243,6 +246,44 @@ def test_cli_part_config_error_makes_no_run_dir(tmp_path, capsys, command, overr
     if section is not None:
         assert f"config error: {section}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def _two_gb_address_space():
+    # the CLI runs with 2 GB of address space: an array made before its
+    # size is checked fails here with a MemoryError, not a config error
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize("override, leaves", [
+    ({"network": {"hidden": [100000000], "w0": [0.01, 0.01]}}, ["network.hidden"]),
+    ({"network": {"outputs": 100000000}}, ["network.outputs"]),
+    ({"trial": {"max_duration": 1.0e15}}, ["trial.max_duration", "sim.dt"]),
+], ids=["hidden-huge", "outputs-huge", "max-duration-huge"])
+def test_cli_oversized_network_or_trial_is_a_config_error(tmp_path, override, leaves):
+    # the weights and the tick log are checked against the track's budget
+    # before they are made: exit 4 naming the leaf, and no run directory
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(override))
+    out = tmp_path / "r"
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarbot.cli", "trial", "--config", str(p), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=_two_gb_address_space)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: too large: ")
+    assert all(f"{leaf}: " in proc.stderr for leaf in leaves)
+    assert not out.exists()
+
+
+def test_cli_calibrate_names_sim_v0_when_the_probe_track_is_too_large(tmp_path, capsys):
+    # the probe's straight track is 1.5 * v0 * 7 s + 20 cm long
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({"sim": {"v0": 1.0e12}}))
+    assert cli.main(["calibrate", "--config", str(p)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: probe track: too large: ")
+    assert "sim.v0: 1000000000000.0" in err
 
 
 def test_cli_trace_csvs_are_byte_identical_across_runs(tmp_path):

@@ -15,7 +15,6 @@ from sarbot.netcore import (
     LOCALPROP,
     RULES,
     SAR,
-    LayerSpec,
     Network,
     UpdateRule,
     init_weights,
@@ -23,9 +22,9 @@ from sarbot.netcore import (
 
 
 def make_net(sizes, seed=0, w0=0.5, m=None, activation="tanh"):
-    specs = [LayerSpec(s, activation) for s in sizes]
     m = np.ones(sizes[-1]) if m is None else m
-    return init_weights(specs, seed=seed, w0=w0, output_weighting=m)
+    return init_weights(sizes, [activation] * (len(sizes) - 1), seed=seed, w0=w0,
+                        output_weighting=m)
 
 
 def forward_from_v(net, layer, v_vec):
@@ -98,10 +97,8 @@ def reference_forward(net, p):
 
 
 def random_net(rng, sizes, w0):
-    specs = [LayerSpec(sizes[0])] + [
-        LayerSpec(s, str(rng.choice(["tanh", "linear"]))) for s in sizes[1:]
-    ]
-    return init_weights(specs, seed=int(rng.integers(2**32)), w0=w0,
+    activations = [str(rng.choice(["tanh", "linear"])) for _ in sizes[1:]]
+    return init_weights(sizes, activations, seed=int(rng.integers(2**32)), w0=w0,
                         output_weighting=rng.uniform(-2, 2, sizes[-1]))
 
 
@@ -300,6 +297,12 @@ def test_one_layer_overflow_raises_though_the_layers_cancel():
         net.forward(np.array([1.0]))
     assert err.value.layer == 1
     assert messages(warned) == messages(ref_warned) != []
+
+
+def test_an_unknown_activation_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        Network([[[1.0]]], ["relu"], [1.0])
+    assert str(err.value) == "unknown activation 'relu'; choose from ('tanh', 'linear')"
 
 
 def test_a_broken_chain_names_the_layer_that_expects_and_the_one_that_has():
@@ -645,26 +648,28 @@ def test_weight_heatmap_minmax_and_degenerate():
 
 
 def test_init_weights_determinism_and_spread():
-    specs = [LayerSpec(5), LayerSpec(3), LayerSpec(2)]
-    a = init_weights(specs, seed=123, w0=0.1, output_weighting=[1.0, 1.0])
-    b = init_weights(specs, seed=123, w0=0.1, output_weighting=[1.0, 1.0])
+    sizes, acts = [5, 3, 2], ["tanh", "tanh"]
+    a = init_weights(sizes, acts, seed=123, w0=0.1, output_weighting=[1.0, 1.0])
+    b = init_weights(sizes, acts, seed=123, w0=0.1, output_weighting=[1.0, 1.0])
     for wa, wb in zip(a.weights, b.weights):
         npt.assert_array_equal(wa, wb)
-    c = init_weights(specs, seed=124, w0=0.1, output_weighting=[1.0, 1.0])
+    c = init_weights(sizes, acts, seed=124, w0=0.1, output_weighting=[1.0, 1.0])
     assert any(np.abs(wa - wc).sum() > 0 for wa, wc in zip(a.weights, c.weights))
     assert all(np.abs(w).max() <= 0.1 for w in a.weights)
 
 
 def test_init_weights_validation():
     with pytest.raises(ConfigError):
-        init_weights([LayerSpec(3)], seed=0, w0=0.1, output_weighting=[1.0])
+        init_weights([3], [], seed=0, w0=0.1, output_weighting=[1.0])
     with pytest.raises(ConfigError):
-        init_weights([LayerSpec(3), LayerSpec(2)], seed=0, w0=[0.1, 0.2],
+        init_weights([3, 2], ["tanh"], seed=0, w0=[0.1, 0.2],
                      output_weighting=[1.0, 1.0])
-    with pytest.raises(ConfigError):
-        LayerSpec(0)
-    with pytest.raises(ConfigError):
-        LayerSpec(3, "relu")
+    with pytest.raises(ConfigError, match="integers >= 1"):
+        init_weights([3, 0], ["tanh"], seed=0, w0=0.1, output_weighting=[])
+    with pytest.raises(ConfigError, match="integers >= 1"):
+        init_weights([3, 2.0], ["tanh"], seed=0, w0=0.1, output_weighting=[1.0, 1.0])
+    with pytest.raises(ConfigError, match="unknown activation 'relu'"):
+        init_weights([3, 2], ["relu"], seed=0, w0=0.1, output_weighting=[1.0, 1.0])
     with pytest.raises(ConfigError):
         UpdateRule("adam", 0.1)
     with pytest.raises(ConfigError):
