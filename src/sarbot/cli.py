@@ -4,7 +4,9 @@ and track previews.
 Exit codes: 0 success (trial reached the success state), 2 no success,
 3 aborted (a sensor left the canvas or the line left the camera's view),
 4 configuration error, 1 calibration failure. Run directories go under
---out, else $SARBOT_OUT_ROOT, else the config's output.dir.
+--out, else $SARBOT_OUT_ROOT, else the config's output.dir. A command sets
+up its trials (``exper.set_up``) before it makes its run directory, so a
+command that fails with exit 1 or 4 makes none.
 Each override flag names its config leaf as its dest (--seed: trial.seed);
 main resolves the config once and hands it to the command.
 """
@@ -15,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import config as configlib
@@ -138,11 +139,7 @@ def cmd_trial(args, cfg: dict, trial_cfg: exper.TrialConfig) -> int:
 
 
 def cmd_batch(args, cfg: dict, trial_cfg: exper.TrialConfig) -> int:
-    # build and calibrate first, so that a failure leaves no run directory
-    canvas = trial_cfg.track.build()
-    if trial_cfg.reflex.loop_gain is None:
-        lam = exper.calibrate(trial_cfg).loop_gain
-        trial_cfg = replace(trial_cfg, reflex=replace(trial_cfg.reflex, loop_gain=lam))
+    trial_cfg, canvas, *_ = exper.set_up(trial_cfg)
     digest = configlib.config_hash(cfg)
     run_dir = _make_run_dir(_out_root(args, cfg), digest)
     configlib.dump_config(cfg, run_dir / "config.yaml")

@@ -48,6 +48,7 @@ POSITIVE = (lambda v: _num(v) and v > 0, "positive number")
 NON_NEGATIVE = (lambda v: _num(v) and v >= 0, "non-negative number")
 GRAY = (lambda v: _num(v) and 0 <= v < 256, "number in [0, 256)")
 POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "positive integer")
+SEED = (lambda v: isinstance(v, int) and v >= 0, "non-negative integer")  # as default_rng takes
 
 
 class _Leaf(NamedTuple):
@@ -105,7 +106,7 @@ _LEAVES = {
     "trial.window": _Leaf("run.window", POSITIVE),
     "trial.warmup": _Leaf("run.warmup", NON_NEGATIVE),
     "trial.grace": _Leaf("run.grace", NON_NEGATIVE),
-    "trial.seed": _Leaf("seed", (lambda v: isinstance(v, int), "integer")),
+    "trial.seed": _Leaf("seed", SEED),
     "trial.distance_interval": _Leaf("run.distance_interval", POSITIVE),
     "trial.lost_line_timeout": _Leaf("run.lost_line_timeout", POSITIVE),
 }
@@ -116,8 +117,8 @@ _REFERENCE = exper.TrialConfig()
 _CLI_LEAVES = {
     "batch.seeds": (10, (
         lambda v: (isinstance(v, int) and v >= 1)
-        or (isinstance(v, list) and v and all(isinstance(x, int) for x in v)),
-        "count or list of integer seeds")),
+        or (isinstance(v, list) and v and all(map(SEED[0], v))),
+        "count or list of non-negative integer seeds")),
     "batch.rules": (list(netcore.RULES), (
         lambda v: isinstance(v, list) and v and all(x in netcore.RULES for x in v),
         "non-empty list drawn from gdm, localprop, sar")),

@@ -1,5 +1,6 @@
 """Trial orchestration: closed-loop trials and the loop-gain calibration probe,
-which share one reflex step; success metrics, seeded batches, artifact writers."""
+which share one reflex step; success metrics, seeded batches, artifact writers.
+:func:`set_up` alone checks, builds and calibrates before a trial's first tick."""
 
 from __future__ import annotations
 
@@ -243,14 +244,6 @@ def spike_episodes(e, dt: float, height: float = 2.0, merge_gap: float = 2.0):
     return [(s * dt, t * dt) for s, t in zip(starts, ends)]
 
 
-def _resolve_loop_gain(cfg: TrialConfig) -> tuple[float, float | None]:
-    """Return (loop_gain, measured_plant_gain); probes when not configured."""
-    if cfg.reflex.loop_gain is not None:
-        return float(cfg.reflex.loop_gain), None
-    result = calibrate(cfg)
-    return result.loop_gain, result.plant_gain
-
-
 def _reflex_step(readout, a_p, reflex, pose, sim):
     """One tick of the fixed reflex, E -> A_R -> MC -> saturation -> motion,
     under the predictive action ``a_p``; the trial loop and the calibration
@@ -267,35 +260,53 @@ _TICK_COLUMNS = ("t", "e", "ebar", "a_r", "a_p", "mc", "kappa", "pose_x", "pose_
                  "pose_theta")
 
 
+def _check_ticks(seconds: float, dt: float, got: str) -> None:
+    """Check the tick log of ``seconds`` at ``dt``, bounded above, against the budget."""
+    simenv.check_budget((seconds / dt + 1) * len(_TICK_COLUMNS), "tick-log cells",
+                        f"{got}, sim.dt: {dt!r}")
+
+
+def set_up(cfg: TrialConfig, canvas: simenv.Canvas | None = None) -> tuple:
+    """Every step that can fail before a trial's first tick, in one order: the
+    tick log's size; the network and filter bank for ``cfg.seed`` (their
+    constructors check w0, the output weighting, the activation and taps); the
+    canvas, unless given; the loop gain, calibrated unless ``cfg.reflex`` has one.
+    Returns (cfg with its gain, canvas, net, filters, calibration event or None)."""
+    _check_ticks(cfg.run.max_duration, cfg.sim.dt, f"trial.max_duration: {cfg.run.max_duration!r}")
+    net = cfg.net.build(cfg.seed)
+    filters = signals.FilterArray(cfg.filter_taps)
+    if canvas is None:
+        canvas = cfg.track.build()
+    calibration = None
+    if cfg.reflex.loop_gain is None:
+        result = calibrate(cfg)
+        calibration = {"kind": "calibration", "t": 0.0, "loop_gain": result.loop_gain,
+                       "plant_gain": result.plant_gain}
+        cfg = replace(cfg, reflex=replace(cfg.reflex, loop_gain=result.loop_gain))
+    return cfg, canvas, net, filters, calibration
+
+
 def run_trial(
     cfg: TrialConfig,
     canvas: simenv.Canvas | None = None,
     loop_gain: float | None = None,
 ) -> TrialRecord:
-    """Run one closed-loop trial: sense, predict, err, reflex, learn, act.
-    The reflex is the calibration probe's :func:`_reflex_step` under the
-    network's A_P; either abort reason ends the trial before its tick is logged."""
+    """Run one closed-loop trial: :func:`set_up` (``loop_gain``, if given, sets
+    ``cfg.reflex.loop_gain``), then sense, predict, err, reflex, learn, act. The
+    reflex is the calibration probe's :func:`_reflex_step` under the network's
+    A_P; either abort reason ends the trial before its tick is logged."""
+    if loop_gain is not None:
+        cfg = replace(cfg, reflex=replace(cfg.reflex, loop_gain=loop_gain))
+    cfg, canvas, net, fa, calibration = set_up(cfg, canvas)
+    events = [] if calibration is None else [calibration]
+    reflex = cfg.reflex
     dt = cfg.sim.dt
-    # the tick log's cells, bounded above, before any array is made
-    n_ticks = cfg.run.max_duration / dt
-    simenv.check_budget((n_ticks + 1) * len(_TICK_COLUMNS), "tick-log cells",
-                        f"trial.max_duration: {cfg.run.max_duration!r}, sim.dt: {dt!r}")
-    if canvas is None:
-        canvas = cfg.track.build()
-    events = []
-    if loop_gain is None:
-        loop_gain, plant_gain = _resolve_loop_gain(cfg)
-        if plant_gain is not None:
-            events.append({"kind": "calibration", "t": 0.0, "loop_gain": loop_gain,
-                           "plant_gain": plant_gain})
-    reflex = replace(cfg.reflex, loop_gain=loop_gain)
-
-    net = cfg.net.build(cfg.seed)
-    fa = signals.FilterArray(cfg.filter_taps)
     pose = cfg.sim.start_pose(canvas)
-    n_max = max(1, int(round(n_ticks)))
-    trailing = TrailingMean(max(1, int(round(cfg.run.window / dt))))
-    dist_every = max(1, int(round(cfg.run.distance_interval / dt)))
+    n_max = max(1, int(round(cfg.run.max_duration / dt)))
+    # clamped to n_max, beyond which no count acts: no result changes, no overflow
+    ticks_in = lambda seconds: int(round(min(seconds / dt, n_max)))
+    trailing = TrailingMean(max(1, ticks_in(cfg.run.window)))
+    dist_every = max(1, ticks_in(cfg.run.distance_interval))
     layers = range(1, net.n_layers + 1)
 
     log = np.empty((n_max, len(_TICK_COLUMNS)))
@@ -313,7 +324,7 @@ def run_trial(
     # the line counts as "in view" while any camera cell is darker than this
     seen_threshold = (cfg.track.path_value + cfg.track.bg_value) / 2.0
     lost_ticks = 0
-    lost_limit = int(round(cfg.run.lost_line_timeout / dt))
+    lost_limit = ticks_in(cfg.run.lost_line_timeout)
 
     for i in range(n_max):
         t = i * dt
@@ -380,7 +391,7 @@ def run_trial(
         seed=cfg.seed,
         rule_kind=cfg.rule.kind if cfg.rule else "none",
         eta=cfg.rule.eta if cfg.rule else 0.0,
-        loop_gain=loop_gain,
+        loop_gain=reflex.loop_gain,
         events=events,
         saturated_ticks=saturated_ticks,
         network=net,
@@ -422,22 +433,25 @@ def calibrate(cfg: TrialConfig,
     in one ``simenv.sample_ldr`` gather, and each lane takes its own reflex
     step and sums its own error in tick order, as a run alone would.
 
-    Raises CalibrationError when the probe drifts off the canvas, whose
-    margin beside the line is the trial's ``track.margin``, or when the
-    response |e_plus - e_minus| falls below ``MIN_PROBE_RESPONSE`` (1 GSV),
-    since then not even the sign of dE/dA_P can be trusted. A probe track
-    that cannot be built raises the track's ConfigError, which then also
-    names ``sim.v0``, the value that sets the track's length.
+    The probe runs no more ticks than the longest trial the tick-log budget
+    admits, else a ConfigError names ``sim.dt``; a probe track that cannot
+    be built raises the track's ConfigError, which then also names
+    ``sim.v0``, the value that sets the track's length. Raises
+    CalibrationError when the probe drifts off the canvas, whose margin
+    beside the line is the trial's ``track.margin``, or when the response
+    |e_plus - e_minus| falls below ``MIN_PROBE_RESPONSE`` (1 GSV), since then
+    not even the sign of dE/dA_P can be trusted.
     """
-    length = cfg.sim.v0 * (PROBE_SETTLE + PROBE_MEASURE) * 1.5 + 20.0
+    span = PROBE_SETTLE + PROBE_MEASURE  # seconds
+    _check_ticks(span, cfg.sim.dt, f"probe: {span:g} s")
+    length = cfg.sim.v0 * span * 1.5 + 20.0
     try:
         canvas = replace(cfg.track, kind="straight", params={"length": length}).build()
     except ConfigError as exc:
-        raise ConfigError(f"probe track: {exc}; its length is 1.5 * sim.v0 * "
-                          f"{PROBE_SETTLE + PROBE_MEASURE:g} s + 20 cm; got sim.v0: "
-                          f"{cfg.sim.v0!r}") from exc
+        raise ConfigError(f"probe track: {exc}; its length is 1.5 * sim.v0 * {span:g} s + 20 cm; "
+                          f"got sim.v0: {cfg.sim.v0!r}") from exc
     first = int(round(PROBE_SETTLE / cfg.sim.dt))
-    total = int(round((PROBE_SETTLE + PROBE_MEASURE) / cfg.sim.dt))
+    total = int(round(span / cfg.sim.dt))
     a_p = (+PROBE_AMPLITUDE, -PROBE_AMPLITUDE)
     poses = [cfg.sim.start_pose(canvas)] * 2
     acc = [0.0, 0.0]  # summed in tick order: sum() or np.mean would change the bits
@@ -505,11 +519,11 @@ def _batch_row(record: TrialRecord, max_duration: float) -> dict:
 
 
 def _run_batch_trial(args) -> dict:
-    cfg, rule_kind, eta, seed, lam, canvas, out_dir = args
+    cfg, rule_kind, eta, seed, canvas, out_dir = args
     trial_cfg = replace(
         cfg, rule=netcore.UpdateRule(rule_kind, eta), seed=seed
     )
-    record = run_trial(trial_cfg, canvas=canvas, loop_gain=lam)
+    record = run_trial(trial_cfg, canvas=canvas)
     row = _batch_row(record, cfg.run.max_duration)
     if out_dir is not None:
         sub = out_dir / f"{rule_kind}-eta{eta:.6g}-seed{seed}"
@@ -529,27 +543,23 @@ def run_batch(
 ) -> BatchResult:
     """Run len(rules) * len(etas) * len(seeds) independent trials.
 
-    Seeds are shared across (rule, eta) cells so comparisons are seed-matched;
-    trials that never reach success are censored at max_duration and flagged.
+    One :func:`set_up` checks the config and fixes the world and the loop
+    gain every trial shares. Seeds are shared across (rule, eta) cells so
+    comparisons are seed-matched; trials that never reach success are
+    censored at max_duration and flagged. Row and summary keys are CSV columns.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("batch needs at least one seed")
+    rules, etas, seeds = list(rules), list(etas), list(seeds)
+    if not (rules and etas and seeds):
+        raise ConfigError("batch needs at least one rule, one eta and one seed")
     for kind in rules:
         if kind not in netcore.RULES:
             raise ConfigError(f"unknown rule {kind!r} in batch")
-    lam, _ = _resolve_loop_gain(cfg)
-    if canvas is None:
-        canvas = cfg.track.build()  # every trial runs on the same world
+    cfg, canvas, *_ = set_up(cfg, canvas)
     trial_dir = None
     if out_dir is not None:
         trial_dir = out_dir / "trials"
-    tasks = [
-        (cfg, kind, float(eta), int(seed), lam, canvas, trial_dir)
-        for kind in rules
-        for eta in etas
-        for seed in seeds
-    ]
+    tasks = [(cfg, kind, float(eta), int(seed), canvas, trial_dir)
+             for kind in rules for eta in etas for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_batch_trial, tasks))
@@ -559,30 +569,23 @@ def run_batch(
     summary = []
     for kind in rules:
         for eta in etas:
-            cell = [
-                r for r in rows if r["rule"] == kind and r["eta"] == float(eta)
-            ]
-            times = np.array(sorted(r["success_time"] for r in cell))
-            integrals = np.array(sorted(r["error_integral"] for r in cell))
-            dists = np.array(sorted(r["final_dist_l1"] for r in cell))
-            q = lambda a, p: float(np.percentile(a, p))
-            summary.append(
-                {
-                    "rule": kind,
-                    "eta": float(eta),
-                    "n": len(cell),
-                    "n_success": sum(r["succeeded"] for r in cell),
-                    "n_abort": sum(r["aborted"] for r in cell),
-                    "success_time_q25": q(times, 25),
-                    "success_time_median": q(times, 50),
-                    "success_time_q75": q(times, 75),
-                    "error_integral_q25": q(integrals, 25),
-                    "error_integral_median": q(integrals, 50),
-                    "error_integral_q75": q(integrals, 75),
-                    "final_dist_l1_median": q(dists, 50),
-                }
-            )
-    return BatchResult(rows=rows, summary=summary, loop_gain=lam)
+            cell = [r for r in rows if r["rule"] == kind and r["eta"] == float(eta)]
+            q = lambda key, p: float(np.percentile([r[key] for r in cell], p))
+            summary.append({
+                "rule": kind,
+                "eta": float(eta),
+                "n": len(cell),
+                "n_success": sum(r["succeeded"] for r in cell),
+                "n_abort": sum(r["aborted"] for r in cell),
+                "success_time_q25": q("success_time", 25),
+                "success_time_median": q("success_time", 50),
+                "success_time_q75": q("success_time", 75),
+                "error_integral_q25": q("error_integral", 25),
+                "error_integral_median": q("error_integral", 50),
+                "error_integral_q75": q("error_integral", 75),
+                "final_dist_l1_median": q("final_dist_l1", 50),
+            })
+    return BatchResult(rows=rows, summary=summary, loop_gain=cfg.reflex.loop_gain)
 
 
 # ----------------------------------------------------------------------
@@ -624,14 +627,8 @@ def first_layer_heatmap_image(net: netcore.Network) -> np.ndarray:
     """Layer-1 heatmap image with camera-row blocks regrouped so the row
     nearest the robot lands in the rightmost block."""
     hm = net.weight_heatmap(1)
-    block = signals.HALF_COLS * signals.FILTER_COUNT
     if hm.shape[1] == signals.PREDICTOR_COUNT:
-        k = np.arange(hm.shape[1])
-        rows, rest = k // block, k % block
-        dest = (signals.CAMERA_ROWS - 1 - rows) * block + rest
-        out = np.empty_like(hm)
-        out[:, dest] = hm
-        hm = out
+        hm = hm.reshape(len(hm), signals.CAMERA_ROWS, -1)[:, ::-1].reshape(hm.shape)
     return heatmap_image(hm)
 
 
@@ -668,25 +665,12 @@ def write_trial_artifacts(record: TrialRecord, out_dir, config_hash: str = "") -
     )
 
 
-def _cell(v) -> str:
-    return _fmt(v) if isinstance(v, float) else str(v)
-
-
-def _write_dict_csv(rows, columns, path) -> None:
-    _write_csv(path, columns, ([_cell(row[c]) for c in columns] for row in rows))
+def _write_dict_csv(rows, path) -> None:
+    """One column per key of the rows, in the key order of the first."""
+    _write_csv(path, rows[0], ([_fmt(v) if isinstance(v, float) else str(v)
+                                for v in row.values()] for row in rows))
 
 
 def write_batch_artifacts(result: BatchResult, out_dir) -> None:
-    trial_cols = (
-        "rule", "eta", "seed", "succeeded", "aborted", "censored",
-        "success_time", "error_integral", "final_dist_l1", "duration",
-        "saturated_ticks",
-    )
-    _write_dict_csv(result.rows, trial_cols, out_dir / "trials.csv")
-    summary_cols = (
-        "rule", "eta", "n", "n_success", "n_abort",
-        "success_time_q25", "success_time_median", "success_time_q75",
-        "error_integral_q25", "error_integral_median", "error_integral_q75",
-        "final_dist_l1_median",
-    )
-    _write_dict_csv(result.summary, summary_cols, out_dir / "summary.csv")
+    _write_dict_csv(result.rows, out_dir / "trials.csv")
+    _write_dict_csv(result.summary, out_dir / "summary.csv")

@@ -172,7 +172,10 @@ class Canvas:
     ``dataclasses.replace`` included, converts a raster of another dtype to
     float64, the dtype of the buffers the gather of :func:`sample_points`
     reads into. The weighted sums that read it converted each value to
-    float64 before as well, so the samples keep their bits.
+    float64 before as well, so the samples keep their bits. It holds no -0.0
+    (a raster with a sign bit set is stored as ``raster + 0.0``), and its
+    pixels must be finite, below 2**1022 in magnitude and not negative
+    subnormals, as :func:`_bilinear` needs, or a ConfigError is raised.
     """
 
     raster: np.ndarray  # (H, W) float GSV
@@ -182,7 +185,14 @@ class Canvas:
     path: np.ndarray | None = None  # dense centerline polyline, for diagnostics
 
     def __post_init__(self):
-        self.raster = np.asarray(self.raster, dtype=float)
+        r = self.raster = np.asarray(self.raster, dtype=float)
+        # a set sign bit (a negative int64 view) marks a -0.0 or a negative pixel
+        if signed := r.view(np.int64).min() < 0:
+            r = self.raster = r + 0.0
+        if not (r.max() < 2.0**1022 and (not signed or -2.0**1022 < r.min() and np.all(
+                r[r < 0.0] <= -np.finfo(float).tiny))):
+            raise ConfigError("canvas pixels must be finite, below 2**1022 in magnitude "
+                              "and not negative subnormals")
 
     @property
     def world_size(self) -> tuple:
@@ -223,11 +233,7 @@ class _Gather:
         self.columns = tuple(self.v)
 
 
-# offsets of the floor and the +1 corner, broadcast over (axis, point)
-_CORNER = np.array([0, 1])[:, None, None]
-
-
-def _bilinear(r: np.ndarray, ws: _Gather, clamp: bool) -> np.ndarray:
+def _bilinear(r: np.ndarray, ws: _Gather) -> np.ndarray:
     """Bilinear values of raster ``r`` at the pixel coordinates ``ws.p``,
     every one of which lies on the canvas: the one statement of the
     lookup's arithmetic.
@@ -238,31 +244,31 @@ def _bilinear(r: np.ndarray, ws: _Gather, clamp: bool) -> np.ndarray:
     one product of the corners with the weights [1 - fx, fx], one sum into
     the top and bottom rows, one product with [1 - fy, fy] and one sum.
 
-    Unless ``clamp``, every point lies below the last pixel row and column,
-    and its corners are four ``take``s at its flat index ``y * w + x``,
-    from the flat raster and from its views shifted by 1, w and w + 1; the
-    index is on the canvas, so ``clip`` never clips and spares the buffered
-    copy that ``raise`` makes of an ``out``. With ``clamp``, a point on the
-    last pixel row or column reads its clamped +1 corner, with weight 0.
+    The corners are four ``take``s at the flat index ``y * w + x``, from
+    the flat raster and its views shifted by 1, w and w + 1; ``clip`` spares
+    the copy that ``raise`` makes of an ``out`` and keeps the +1 corner of a
+    point on the last pixel column or row on the canvas. That corner has
+    weight 0, so its term is +-0.0 (finite, by the bounds :class:`Canvas`
+    checks), as the term of the clamped corner r[y, w - 1] or r[h - 1, x]
+    is, perhaps of the other sign. It is added to a pixel or to a weighted
+    sum of two, which adding +-0.0 leaves as it is unless it is -0.0. None
+    is: :class:`Canvas` holds no -0.0, a sum is -0.0 only if both terms
+    are, one of the two weights is at least 1/2, and a product with it is
+    -0.0 only for a negative subnormal pixel, which :class:`Canvas` rejects.
+    So the value has the bits of the clamped lookup.
     """
-    h, w = r.shape
+    w = r.shape[1]
     p, lo, v = ws.p, ws.lo, ws.v
     v00, v10, v01, v11 = ws.corners
     np.floor(p, out=lo)
     np.copyto(ws.i, lo, casting="unsafe")
     flat = r.ravel()
-    if clamp:
-        # corners[k] = floor + k per axis
-        corners = np.minimum(ws.i + _CORNER, ((w - 1,), (h - 1,)))
-        x, y = corners[:, 0], corners[:, 1] * w
-        flat.take(x[:, None] + y[None, :], out=v)  # v[b, a] = r[y_a, x_b]
-    else:
-        k = np.multiply(ws.iy, w, out=ws.iy)
-        k += ws.ix
-        flat.take(k, out=v00, mode="clip")
-        flat[1:].take(k, out=v10, mode="clip")
-        flat[w:].take(k, out=v01, mode="clip")
-        flat[w + 1 :].take(k, out=v11, mode="clip")
+    k = np.multiply(ws.iy, w, out=ws.iy)
+    k += ws.ix
+    flat.take(k, out=v00, mode="clip")
+    flat[1:].take(k, out=v10, mode="clip")
+    flat[w:].take(k, out=v01, mode="clip")
+    flat[w + 1 :].take(k, out=v11, mode="clip")
     np.subtract(p, lo, out=ws.f)
     np.subtract(1, ws.f, out=ws.g)
     np.multiply(v, ws.wx, out=v)
@@ -282,11 +288,9 @@ def sample_points(canvas: Canvas, pts: np.ndarray, ws: _Gather | None = None) ->
     :func:`sample_ldr` for the ground sensors of every lane at once.
 
     One per-axis ``min`` and ``max`` pair tests the bounds, written so that
-    a NaN is off-canvas. While no point lies on the last pixel row or
-    column, :func:`_bilinear` reads the corners unclamped; otherwise it
-    clamps them. Either way the arithmetic of each value is the one that
-    function states, so this and :func:`sample_camera`'s in-place path give
-    a point the same bits.
+    a NaN is off-canvas. The arithmetic of each value is the one that
+    :func:`_bilinear` states, so this and :func:`sample_camera`'s in-place
+    path give a point the same bits.
     """
     r = canvas.raster
     h, w = r.shape
@@ -297,7 +301,7 @@ def sample_points(canvas: Canvas, pts: np.ndarray, ws: _Gather | None = None) ->
     # written so that a NaN, for which every comparison is false, is off-canvas
     if not (x_min >= 0.0 and y_min >= 0.0 and x_max <= w - 1.0 and y_max <= h - 1.0):
         raise OutOfBoundsError("sample point outside the canvas")
-    return _bilinear(r, ws, clamp=not (x_max < w - 1.0 and y_max < h - 1.0))
+    return _bilinear(r, ws)
 
 
 def _terms(pose: RobotPose) -> tuple:
@@ -374,17 +378,16 @@ def sample_camera(
     the layout's workspace. A pose whose pixel coordinates lie at least
     ``layout._reach / scale + 1`` pixels inside every edge of the canvas
     then takes the in-place path: the pixel mapping writes over the points,
-    and :func:`_bilinear` reads the corners unclamped, with no per-point
-    bounds test. Every point lies
-    within the reach of the pose, and the rounding of the transform moves
-    it by far less than the spare pixel, so every point lies on the canvas
-    and below its last pixel row and column, where :func:`sample_points`
-    would take the same unclamped branch. Each value goes through the same
-    IEEE operations in the same association, so both paths give the same
-    bits. Every other pose (near an edge, off the canvas, with a NaN or
-    infinite coordinate, or on a canvas whose scale is not positive) goes
-    through :func:`sample_points` and its bounds test. The pose-level test
-    is written in Python floats, so that a NaN or infinite coordinate fails
+    and :func:`_bilinear` reads them with no per-point bounds test. Every
+    point lies within the reach of the pose, and the rounding of the
+    transform moves it by far less than the spare pixel, so every point
+    lies on the canvas, as :func:`_bilinear` requires. Each value goes
+    through the same IEEE operations in the same association as in
+    :func:`sample_points`, so both paths give the same bits. Every other
+    pose (near an edge, off the canvas, with a NaN or infinite coordinate,
+    or on a canvas whose scale is not positive) goes through
+    :func:`sample_points` and its bounds test. The pose-level test is
+    written in Python floats, so that a NaN or infinite coordinate fails
     it; a NaN or infinite heading raises in the world transform, before
     either path.
     """
@@ -404,7 +407,7 @@ def sample_camera(
     if inside:
         np.divide(p, scale, out=p)
         p -= 0.5
-        vals = _bilinear(r, ws, clamp=False)
+        vals = _bilinear(r, ws)
     else:
         vals = sample_points(canvas, p, ws)
     n = layout._n_cam

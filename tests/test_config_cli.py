@@ -254,6 +254,20 @@ def _two_gb_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
 
+def _sarbot(tmp_path, command, override, timeout=60):
+    """Run one sarbot command on ``override`` as a subprocess with 2 GB of
+    address space; return the process and its --out directory."""
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(override))
+    out = tmp_path / "r"
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarbot.cli", command, "--config", str(p), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=_two_gb_address_space, timeout=timeout)
+    return proc, out
+
+
 @pytest.mark.parametrize("override, leaves", [
     ({"network": {"hidden": [100000000], "w0": [0.01, 0.01]}}, ["network.hidden"]),
     ({"network": {"outputs": 100000000}}, ["network.outputs"]),
@@ -262,18 +276,62 @@ def _two_gb_address_space():
 def test_cli_oversized_network_or_trial_is_a_config_error(tmp_path, override, leaves):
     # the weights and the tick log are checked against the track's budget
     # before they are made: exit 4 naming the leaf, and no run directory
-    p = tmp_path / "c.yaml"
-    p.write_text(yaml.safe_dump(override))
-    out = tmp_path / "r"
-    src = Path(cli.__file__).parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "sarbot.cli", "trial", "--config", str(p), "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-        preexec_fn=_two_gb_address_space)
+    proc, out = _sarbot(tmp_path, "trial", override)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config error: too large: ")
     assert all(f"{leaf}: " in proc.stderr for leaf in leaves)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("leaf, value", [("trial.seed", -1), ("batch.seeds", [2, -1])])
+def test_a_negative_seed_is_a_config_error(leaf, value):
+    # numpy's default_rng takes no negative seed
+    section, key = leaf.split(".")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(leaf)}: expected [^,]*non-negative"):
+        configlib.load_config(None, {section: {key: value}})
+
+
+@pytest.mark.parametrize("override, names", [
+    ({"network": {"w0": [0.1, 0.1]}}, "w0 needs 11 entries, got 2"),
+    ({"network": {"output_weighting": [1.0, 2.0]}}, "output weighting length 2"),
+    ({"filters": {"taps": [[0.5], [1.0], [1.0], [1.0], [1.0]]}}, "DC gain must be 1"),
+    ({"trial": {"seed": -1}}, "trial.seed: "),
+    ({"batch": {"seeds": [2, -1]}}, "batch.seeds: "),
+    ({"trial": {"max_duration": 1.0e15}}, "trial.max_duration: "),
+    ({"network": {"hidden": [100000000], "w0": [0.01, 0.01]}}, "network.hidden: "),
+    # with the loop gain to calibrate: the tick log is checked first
+    ({"sim": {"dt": 1.0e-7}, "loop": {"loop_gain": "auto"}}, "sim.dt: 1e-07"),
+], ids=["w0-length", "output-weighting-length", "taps-dc-gain", "seed-negative",
+        "batch-seed-negative", "tick-log-huge", "hidden-huge", "dt-tiny"])
+def test_cli_batch_checks_its_trials_before_its_run_directory(tmp_path, override, names):
+    # every check a trial makes before its first tick runs before the batch
+    # makes its run directory: exit 4 with one line, no traceback
+    base = {"loop": {"loop_gain": 5.0e-6}, "batch": {"seeds": 1, "rules": ["sar"]}}
+    proc, out = _sarbot(tmp_path, "batch", {k: {**base.get(k, {}), **override.get(k, {})}
+                                            for k in {*base, *override}})
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ") and names in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_batch_runs_a_window_longer_than_any_tick_count(tmp_path):
+    # 1e300 s at dt = 1e-10 overflowed the window's tick count
+    proc, out = _sarbot(tmp_path, "batch", {
+        "loop": {"loop_gain": 5.0e-6}, "batch": {"seeds": 1, "rules": ["sar"]},
+        "sim": {"dt": 1.0e-10}, "trial": {"max_duration": 1.0e-9, "window": 1.0e300}})
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert {f.name for f in next(out.iterdir()).iterdir()} >= {"trials.csv", "summary.csv"}
+
+
+def test_cli_calibrate_bounds_the_probe_ticks(tmp_path):
+    # the probe's 7 s at dt = 1e-7 is 7e7 ticks, more than any trial's tick
+    # log may hold: exit 4 at once, naming sim.dt
+    proc, _ = _sarbot(tmp_path, "calibrate", {"sim": {"dt": 1.0e-7}}, timeout=30)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: too large: ")
+    assert "sim.dt: 1e-07" in proc.stderr
 
 
 def test_cli_calibrate_names_sim_v0_when_the_probe_track_is_too_large(tmp_path, capsys):

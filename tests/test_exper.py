@@ -291,6 +291,55 @@ def test_trial_shorter_than_a_tick_records_one_tick():
     assert rec.duration == 0.05
 
 
+def test_counts_beyond_the_trial_act_as_the_trial_length():
+    # 1e300 s at dt = 1e-10 overflows a tick count; clamped to the trial's
+    # 10 ticks, each count gives the record of one of the trial's length
+    sim = SimParams(dt=1e-10)
+    cfg = replace(quick_cfg(max_duration=1e-9), sim=sim)
+    huge = replace(cfg, run=replace(cfg.run, window=1e300, distance_interval=1e300,
+                                    lost_line_timeout=1e300))
+    fit = replace(cfg, run=replace(cfg.run, window=1e-9, distance_interval=1e-9,
+                                   lost_line_timeout=1e-9))
+    a, b = (run_trial(c, loop_gain=5e-6) for c in (huge, fit))
+    assert a.t.size == 10 and not a.aborted
+    for name in ("t", "e", "ebar", "a_p", "kappa", "distance_t", "distances"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_set_up_calibrates_only_without_a_loop_gain():
+    cfg = quick_cfg(max_duration=1.0)
+    probe = exper.calibrate(cfg)
+    got, canvas, net, filters, event = exper.set_up(cfg)
+    assert got.reflex.loop_gain == probe.loop_gain and cfg.reflex.loop_gain is None
+    assert event == {"kind": "calibration", "t": 0.0, "loop_gain": probe.loop_gain,
+                     "plant_gain": probe.plant_gain}
+    assert run_trial(cfg, canvas=canvas).events[0] == event
+    again = exper.set_up(got, canvas)
+    assert again[0] is got and again[1] is canvas and again[4] is None
+    assert [w.tobytes() for w in again[2].weights] == [w.tobytes() for w in net.weights]
+
+
+def test_each_trial_builds_its_network_and_filter_bank_once(monkeypatch):
+    calls = dict.fromkeys(("build", "filters", "calibrate"), 0)
+
+    def counting(name, orig):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(exper.NetParams, "build", counting("build", exper.NetParams.build))
+    monkeypatch.setattr(exper.signals, "FilterArray",
+                        counting("filters", exper.signals.FilterArray))
+    monkeypatch.setattr(exper, "calibrate", counting("calibrate", exper.calibrate))
+    run_trial(quick_cfg(max_duration=1.0))
+    assert calls == {"build": 1, "filters": 1, "calibrate": 1}
+    calls.update(build=0, filters=0, calibrate=0)
+    # one set-up for the batch, which calibrates once, then one per trial
+    run_batch(quick_cfg(max_duration=1.0), rules=["sar", "gdm"], etas=[0.1], seeds=[1, 2])
+    assert calls == {"build": 5, "filters": 5, "calibrate": 1}
+
+
 def test_poses_chain_through_the_saturated_step():
     # every recorded pose is the previous one stepped under the actuated
     # (clipped) MC, bit for bit; a lowered limit makes most ticks clip
@@ -519,6 +568,29 @@ def test_batch_rejects_bad_rules():
         run_batch(cfg, rules=["sgd"], etas=[0.1], seeds=[1])
     with pytest.raises(ConfigError):
         run_batch(cfg, rules=["sar"], etas=[0.1], seeds=[])
+
+
+def test_batch_rejects_an_empty_rule_or_eta_list():
+    cfg = quick_cfg()
+    for rules, etas in (([], [0.1]), (["sar"], [])):
+        with pytest.raises(ConfigError, match="at least one rule, one eta and one seed"):
+            run_batch(cfg, rules=rules, etas=etas, seeds=[1])
+
+
+def test_batch_csvs_take_their_columns_from_the_rows(tmp_path):
+    cfg = replace(quick_cfg(max_duration=1.0),
+                  reflex=replace(quick_cfg().reflex, loop_gain=5e-6))
+    result = run_batch(cfg, rules=["sar"], etas=[0.1], seeds=[1])
+    exper.write_batch_artifacts(result, tmp_path)
+    trials = (tmp_path / "trials.csv").read_text().splitlines()
+    assert trials[0] == ("rule,eta,seed,succeeded,aborted,censored,success_time,"
+                         "error_integral,final_dist_l1,duration,saturated_ticks")
+    assert trials[1].startswith("sar,0.1,1,False,False,True,1,")
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[0] == ("rule,eta,n,n_success,n_abort,success_time_q25,"
+                          "success_time_median,success_time_q75,error_integral_q25,"
+                          "error_integral_median,error_integral_q75,final_dist_l1_median")
+    assert summary[1].startswith("sar,0.1,1,0,0,1,1,1,")
 
 
 def test_trial_artifacts_round_trip(tmp_path, pgm_pixels):

@@ -771,7 +771,7 @@ def test_a_lane_gather_equals_the_per_pose_calls(lanes, seed, touch, off):
     k = int(rng.integers(lanes))
     # heading +x, the sensor disks reach ldr_forward + r ahead and
     # ldr_lateral[2] + r to the left, which lands exactly on the last
-    # pixel column or row and sends the whole gather to the clamped corners
+    # pixel column or row, where the +1 corner has weight 0
     reach = (layout.ldr_forward + layout.ldr_fov_radius,
              layout.ldr_lateral[2] + layout.ldr_fov_radius)
     if touch == "column":
@@ -794,8 +794,8 @@ def test_a_lane_gather_equals_the_per_pose_calls(lanes, seed, touch, off):
 
 
 def test_points_on_the_first_and_last_pixel():
-    # a point on pixel w - 1 or h - 1 reads its clamped +1 corner with
-    # weight 0; a hair beyond the first or last pixel centre is off-canvas
+    # a point on pixel w - 1 or h - 1 gives its +1 corner the weight 0;
+    # a hair beyond the first or last pixel centre is off-canvas
     h, w, scale = 7, 9, 0.25
     raster = np.arange(h * w, dtype=float).reshape(h, w) * 3.5
     canvas = Canvas(raster=raster, scale=scale, start=(0.0, 0.0, 0.0),
@@ -817,13 +817,32 @@ def test_points_on_the_first_and_last_pixel():
             sample_points(canvas, off)
 
 
+def test_a_canvas_stores_no_minus_zero_and_rejects_pixels_the_gather_cannot_read():
+    # on pixel (1, 0.5), a -0.0 in the last column and the one below it sum
+    # to -0.0 under the clamped reference, where the gather's weight-0 +1
+    # corners (6.0 and 7.0) would give +0.0: the canvas stores them as +0.0
+    raster = np.array([[1.0, -0.0], [4.0, -0.0], [6.0, 7.0]])
+    canvas = Canvas(raster=raster, scale=1.0, start=(0.0, 0.0, 0.0), track_kind="ramp")
+    assert not np.signbit(canvas.raster).any()
+    pts = np.array([[1.5], [1.0]])
+    assert sample_points(canvas, pts).tobytes() == _ref_sample_points(canvas, pts.T).tobytes()
+    # a negative subnormal times a weight of 1/2 rounds to -0.0 as well
+    for bad in (math.nan, math.inf, -math.inf, 2.0**1022, -2.0**1022, -5e-324):
+        with pytest.raises(ConfigError, match="canvas pixels must be finite"):
+            Canvas(raster=np.array([[1.0, bad]]), scale=1.0, start=(0.0, 0.0, 0.0),
+                   track_kind="ramp")
+    kept = np.array([[-3.0, 300.0, 5e-324, -2.0**-1022, 2.0**1021]])
+    canvas = Canvas(raster=kept, scale=1.0, start=(0.0, 0.0, 0.0), track_kind="ramp")
+    assert canvas.raster.tobytes() == kept.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0]), st.booleans())
 def test_a_gather_inside_and_one_touching_the_last_pixel_equal_the_reference(
         seed, scale, touch):
     # pixel coordinates survive the trip through a power-of-two scale exactly,
-    # so a touching point lies exactly on pixel w - 1 or h - 1 and sends the
-    # whole gather, interior points included, to the clamped corners
+    # so a touching point lies exactly on pixel w - 1 or h - 1, where the
+    # reference clamps its +1 corner and the gather weighs it 0
     rng = np.random.default_rng(seed)
     h, w = rng.integers(2, 40, 2)
     raster = rng.uniform(0.0, 256.0, (h, w))
@@ -858,9 +877,8 @@ def pixel_coordinates(last):
 def test_the_gather_reads_whole_and_near_whole_coordinates_as_the_reference(data):
     # coordinates of exactly 0.0, on a pixel centre, on the last pixel or a
     # hair either side of a centre are where a floor, its cast to intp and
-    # the fraction can go wrong; the unclamped corners serve points below
-    # the last pixel row and column, the clamped ones a gather with a point
-    # on it
+    # the fraction can go wrong; a point on the last pixel row or column
+    # is where the reference clamps its +1 corner
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # power-of-two scales: a whole coordinate survives the trip to cm and back
     scale = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
@@ -870,7 +888,7 @@ def test_the_gather_reads_whole_and_near_whole_coordinates_as_the_reference(data
     n = data.draw(st.integers(1, 12))
     px = np.array(data.draw(st.lists(pixel_coordinates(w - 1), min_size=n, max_size=n)))
     py = np.array(data.draw(st.lists(pixel_coordinates(h - 1), min_size=n, max_size=n)))
-    event("clamped" if px.max() == w - 1 or py.max() == h - 1 else "unclamped")
+    event("on the last pixel" if px.max() == w - 1 or py.max() == h - 1 else "inside")
     pts = np.stack([(px + 0.5) * scale, (py + 0.5) * scale])
     assert sample_points(canvas, pts).tobytes() == _ref_sample_points(canvas, pts.T).tobytes()
 

@@ -120,6 +120,14 @@ CASES = {
         "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
                   "seeds": 2, "jobs": 1},
     }),
+    # the process-pool path, calibrated once for the batch, writing the
+    # batch's records only
+    "batch-jobs2": ("batch", {
+        "trial": {"max_duration": 60.0},
+        "batch": {"rules": ["gdm", "localprop", "sar"], "etas": [ETA],
+                  "seeds": 2, "jobs": 2},
+        "output": {"trace": False},
+    }),
 }
 
 
